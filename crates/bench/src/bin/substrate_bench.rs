@@ -44,9 +44,9 @@
 //! identical merged peaks, the `runtime` arm additionally pins pooled
 //! dispatch (one persistent `Runtime` reused across runs) against fresh
 //! dispatch (spawn + teardown per run — the old scoped-thread cost shape)
-//! and against the sequential run, sharded stores must round-trip and
-//! their per-shard sweeps must reproduce the flat gains at every shard
-//! count, and the pooled o͂pt-guess grid must report the sequential
+//! and against the sequential run, the zero-copy shard views' span
+//! sweeps must reproduce the flat gains at every shard count, and the
+//! pooled o͂pt-guess grid must report the sequential
 //! driver's solution/passes/peaks at every fan-out (all asserted
 //! unconditionally, so `--smoke --check` is a runtime-identity,
 //! shard-invariance and guess-grid gate too); wall-clock per worker count
@@ -70,7 +70,7 @@ use streamcover_comm::DistCover;
 use streamcover_core::{
     bernoulli_elems, bernoulli_subset, greedy_cover_until, greedy_cover_until_eager,
     greedy_cover_until_sharded, greedy_set_cover, random_subset_elems, BatchedSweep, BitSet,
-    KernelTier, ReprPolicy, SetId, SetRef, SetStore, SetSystem, ShardPlan, ShardedStore,
+    KernelTier, ReprPolicy, SetId, SetRef, SetStore, SetSystem,
 };
 use streamcover_dist::{
     planted_cover, podcast_catalog, sample_dsc_with_theta, stress_cover, stress_cover_shards,
@@ -857,17 +857,15 @@ struct ShardRow {
     n: usize,
     m: usize,
     build_flat_ns: f64,
-    build_sharded_ns: f64,
     sweep_flat_ns: f64,
     sweep_sharded_ns: f64,
 }
 
-/// Benchmarks shard scaling on a `stress_cover_shards` workload: parallel
-/// `ShardedStore::from_sorted_lists` construction vs the flat single-arena
-/// build, and the summed per-shard `gains_sharded` sweeps vs the flat
-/// `BatchedSweep`. Equivalence (round-trip + gains identity) is asserted
-/// unconditionally at every shard count — the correctness gate of the
-/// `release-smoke` job — while wall-clock is recorded for the curious
+/// Benchmarks shard scaling on a `stress_cover_shards` workload: the flat
+/// single-arena build, and the concatenated span sweeps of the zero-copy
+/// `SetSystem::shards` views vs one flat `BatchedSweep`. Gains identity is
+/// asserted unconditionally at every shard count — the correctness gate of
+/// the `release-smoke` job — while wall-clock is recorded for the curious
 /// (1–2-core CI machines make a speedup gate meaningless).
 fn bench_shards(seed: u64, smoke: bool) -> Vec<ShardRow> {
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5a4d);
@@ -889,26 +887,17 @@ fn bench_shards(seed: u64, smoke: bool) -> Vec<ShardRow> {
         if shards > max_shards {
             break;
         }
-        let plan = ShardPlan::BySetRange { shards };
-        // Correctness gates: round-trip + per-shard sweep identity.
-        let sharded = ShardedStore::from_sorted_lists(n, ReprPolicy::Auto, plan, &lists);
-        assert_eq!(
-            &SetSystem::from_shards(&sharded),
-            sys,
-            "shard round-trip diverged at {shards} shards"
-        );
+        // Correctness gate: per-view sweep identity.
+        let views = sys.shards(shards);
         let mut cat = Vec::new();
-        for s in 0..sharded.num_shards() {
-            cat.extend_from_slice(sweep.gains_sharded(&sharded, s, &residual));
+        for v in &views {
+            cat.extend_from_slice(v.gains(&mut sweep, &residual));
         }
         assert_eq!(
             cat, flat_gains,
             "sharded sweep gains diverged at {shards} shards"
         );
 
-        let build_sharded_ns = time_ns_per_op(1, samples, || {
-            ShardedStore::from_sorted_lists(n, ReprPolicy::Auto, plan, &lists).len() as u64
-        });
         let build_flat_ns = time_ns_per_op(1, samples, || {
             let mut st = SetSystem::new(n);
             for l in &lists {
@@ -918,9 +907,9 @@ fn bench_shards(seed: u64, smoke: bool) -> Vec<ShardRow> {
         });
         let sweep_sharded_ns = time_ns_per_op(m as u64, samples, || {
             let mut acc = 0u64;
-            for s in 0..sharded.num_shards() {
-                acc += sweep
-                    .gains_sharded(&sharded, s, &residual)
+            for v in &views {
+                acc += v
+                    .gains(&mut sweep, &residual)
                     .iter()
                     .map(|&g| g as u64)
                     .sum::<u64>();
@@ -940,7 +929,6 @@ fn bench_shards(seed: u64, smoke: bool) -> Vec<ShardRow> {
             n,
             m,
             build_flat_ns,
-            build_sharded_ns,
             sweep_flat_ns,
             sweep_sharded_ns,
         });
@@ -1687,11 +1675,10 @@ fn main() {
     let shard_rows = bench_shards(seed, smoke);
     for r in &shard_rows {
         eprintln!(
-            "  shards: n={} m={} shards={} build {:.2}ms (flat {:.2}ms) sweep {:.0}ns/set (flat {:.0}ns/set) — gains identical",
+            "  shards: n={} m={} shards={} build {:.2}ms sweep {:.0}ns/set (flat {:.0}ns/set) — gains identical",
             r.n,
             r.m,
             r.shards,
-            r.build_sharded_ns / 1e6,
             r.build_flat_ns / 1e6,
             r.sweep_sharded_ns,
             r.sweep_flat_ns
@@ -1962,11 +1949,6 @@ fn main() {
         let _ = writeln!(json, "      \"n\": {},", r.n);
         let _ = writeln!(json, "      \"m\": {},", r.m);
         let _ = writeln!(json, "      \"build_flat_ns\": {:.0},", r.build_flat_ns);
-        let _ = writeln!(
-            json,
-            "      \"build_sharded_ns\": {:.0},",
-            r.build_sharded_ns
-        );
         let _ = writeln!(json, "      \"sweep_flat_ns\": {:.2},", r.sweep_flat_ns);
         let _ = writeln!(
             json,

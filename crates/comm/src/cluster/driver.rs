@@ -1,10 +1,10 @@
 //! [`DistCover`]: the distributed shard-owner executor.
 //!
-//! The driver turns a flat [`SetSystem`] into `owners` private shard
-//! arenas (`ShardPlan::BySetRange` through
-//! [`ShardedStore::into_stores`](streamcover_core::ShardedStore::into_stores)),
-//! stands up one transport link per owner, and runs the
-//! [`protocol`](super::protocol) with the coordinator on the calling thread.
+//! The driver splits a flat [`SetSystem`] into `owners` contiguous set-id
+//! ranges ([`SetSystem::shards`]), stands up one transport link per owner,
+//! and runs the [`protocol`](super::protocol) with the coordinator on the
+//! calling thread. Thread owners sweep zero-copy views of the one arena;
+//! nothing is copied per run.
 //! Three fabrics:
 //!
 //! * [`DistBackend::InProcess`] — owners are scoped threads joined by
@@ -29,8 +29,8 @@ use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command};
 use std::time::Duration;
-use streamcover_core::{split_ranges, BitSet, CoverResult, SetStore, SetSystem, ShardPlan};
-pub use streamcover_stream::{DistBackend, DistPlan, ExecPolicy};
+use streamcover_core::{BitSet, CoverResult, SetStore, SetSystem, StoreShard};
+pub use streamcover_stream::DistBackend;
 
 /// A finished distributed cover run.
 #[derive(Debug)]
@@ -83,14 +83,6 @@ impl DistCover {
         }
     }
 
-    /// Reads the [`ExecPolicy::dist`] seam: `Some` when the policy opts
-    /// into distributed execution.
-    pub fn from_policy(policy: &ExecPolicy) -> Option<Self> {
-        policy
-            .dist
-            .map(|DistPlan { owners, backend }| DistCover::new(owners, backend))
-    }
-
     /// Runs the distributed greedy cover of `target` with at most
     /// `max_picks` sets, owners as in-process threads over the configured
     /// fabric.
@@ -109,15 +101,8 @@ impl DistCover {
             "target universe mismatch"
         );
         let universe = sys.universe();
-        let plan = ShardPlan::BySetRange {
-            shards: self.owners,
-        };
-        let owners = plan.shard_count(sys.len(), universe);
-        let stores = sys.into_sharded(plan).into_stores();
-        let bases: Vec<usize> = split_ranges(sys.len(), owners)
-            .into_iter()
-            .map(|r| r.start)
-            .collect();
+        let shards = sys.shards(self.owners);
+        let owners = shards.len();
 
         let mut coord_links: Vec<Box<dyn Transport + '_>> = Vec::with_capacity(owners);
         let mut owner_sides: Vec<Box<dyn Transport + '_>> = Vec::with_capacity(owners);
@@ -140,12 +125,13 @@ impl DistCover {
         let (coord, owner_errs) = std::thread::scope(|scope| {
             let handles: Vec<_> = owner_sides
                 .into_iter()
-                .zip(stores.iter().zip(&bases))
+                .zip(&shards)
                 .enumerate()
-                .map(|(o, (mut link, (store, &base)))| {
+                .map(|(o, (mut link, shard))| {
                     let target = &target;
                     scope.spawn(move || {
-                        run_owner(link.as_mut(), o as u16, base, store, target, None)
+                        let base = shard.ids().start;
+                        run_owner(link.as_mut(), o as u16, base, shard, target, None)
                     })
                 })
                 .collect();
@@ -248,15 +234,8 @@ impl ProcessCluster {
             "target universe mismatch"
         );
         let universe = sys.universe();
-        let plan = ShardPlan::BySetRange {
-            shards: self.owners,
-        };
-        let owners = plan.shard_count(sys.len(), universe);
-        let stores = sys.into_sharded(plan).into_stores();
-        let bases: Vec<usize> = split_ranges(sys.len(), owners)
-            .into_iter()
-            .map(|r| r.start)
-            .collect();
+        let shards = sys.shards(self.owners);
+        let owners = shards.len();
 
         let sock_path = unique_socket_path();
         let listener = UnixListener::bind(&sock_path).map_err(ClusterError::Io)?;
@@ -328,18 +307,18 @@ impl ProcessCluster {
         let mut links: Vec<Box<dyn Transport + '_>> = Vec::with_capacity(owners);
         for (o, slot) in slots.into_iter().enumerate() {
             let mut link = slot.expect("all owners joined");
-            let store = &stores[o];
+            let shard = &shards[o];
             let hello = Frame::Hello {
                 owners: owners as u16,
                 owner: o as u16,
-                id_base: bases[o] as u64,
-                nsets: store.len() as u64,
+                id_base: shard.ids().start as u64,
+                nsets: shard.len() as u64,
                 universe: universe as u64,
                 target_words: target_words.clone(),
             };
             setup_bits += send_counted(&mut link, &hello)?;
-            for i in 0..store.len() {
-                let frame = Frame::SetPayload(OwnedSet::from_ref(store.get(i)));
+            for i in 0..shard.len() {
+                let frame = Frame::SetPayload(OwnedSet::from_ref(shard.get(i)));
                 setup_bits += send_counted(&mut link, &frame)?;
             }
             links.push(Box::new(link));
@@ -411,7 +390,8 @@ pub fn run_owner_process(
         }
     }
 
-    run_owner(&mut link, owner, id_base, &store, &target, fault_at)
+    let shard = StoreShard::new(&store, 0..store.len());
+    run_owner(&mut link, owner, id_base, &shard, &target, fault_at)
 }
 
 fn send_counted(link: &mut impl Transport, frame: &Frame) -> Result<u64, ClusterError> {

@@ -18,8 +18,8 @@
 //! * [`protocol`] — the owner/coordinator round loop: local-best gain
 //!   reports → coordinator argmax (deterministic tie-break by set id) →
 //!   pick → residual-delta broadcast.
-//! * [`driver`] — [`DistCover`] (thread owners over either fabric, driven
-//!   by the [`ExecPolicy::dist`](streamcover_stream::ExecPolicy) seam) and
+//! * [`driver`] — [`DistCover`] (thread owners over either fabric, each
+//!   reading a zero-copy set-range view of the one flat arena) and
 //!   [`ProcessCluster`] (spawned owner processes, shards shipped over the
 //!   wire).
 //!

@@ -1,7 +1,9 @@
 //! The owner/coordinator round protocol.
 //!
-//! Each owner holds one `BySetRange` shard as a private [`SetStore`] arena
-//! plus its own copy of the residual. A round is:
+//! Each owner holds one contiguous set-id range as a [`StoreShard`] view —
+//! a zero-copy window of the coordinator's arena for thread owners, its
+//! whole private arena for a process owner — plus its own copy of the
+//! residual. A round is:
 //!
 //! 1. **report** — every owner sweeps its shard against its residual and
 //!    sends its local CELF best (largest gain, smallest global id) as a
@@ -29,7 +31,7 @@ use super::transport::{ClusterError, Transport};
 use super::wire::{encode_frame, Frame};
 use crate::transcript::{Player, Transcript};
 use std::cmp::Reverse;
-use streamcover_core::{BatchedSweep, BitSet, CoverResult, SetStore};
+use streamcover_core::{BatchedSweep, BitSet, CoverResult, StoreShard};
 
 /// Sends `frame` on `link`, recording its exact bytes into `tr` as a
 /// coordinator (Alice) message.
@@ -151,9 +153,9 @@ pub fn run_coordinator(
     Ok((CoverResult { ids, covered }, rounds))
 }
 
-/// Drives one owner over its coordinator link: `store` is the owner's
-/// private shard arena whose sets carry global ids `id_base..`, `target`
-/// the cover target (the owner maintains its own residual copy).
+/// Drives one owner over its coordinator link: `shard` is the owner's set
+/// range, whose sets carry global ids `id_base..`, `target` the cover
+/// target (the owner maintains its own residual copy).
 ///
 /// `fault_at`, when set, aborts the owner *before* it sends the report of
 /// that protocol round — the hook the fault-injection tests (and the
@@ -163,7 +165,7 @@ pub fn run_owner<T: Transport + ?Sized>(
     link: &mut T,
     owner: u16,
     id_base: usize,
-    store: &SetStore,
+    shard: &StoreShard<'_>,
     target: &BitSet,
     fault_at: Option<u32>,
 ) -> Result<(), ClusterError> {
@@ -176,7 +178,7 @@ pub fn run_owner<T: Transport + ?Sized>(
                 "owner {owner}: injected fault at round {round}"
             )));
         }
-        sweep.gains(store, &uncovered);
+        shard.gains(&mut sweep, &uncovered);
         let report = match sweep.best() {
             Some((local, gain)) => Frame::GainReport {
                 owner,
@@ -206,12 +208,12 @@ pub fn run_owner<T: Transport + ?Sized>(
             Frame::PickRequest { id, .. } => {
                 let local = (id as usize)
                     .checked_sub(id_base)
-                    .filter(|&l| l < store.len())
+                    .filter(|&l| l < shard.len())
                     .ok_or_else(|| {
                         ClusterError::Protocol(format!("pick {id} outside owner {owner}'s shard"))
                     })?;
                 let mut delta: Vec<u32> = Vec::new();
-                for e in store.get(local).iter() {
+                for e in shard.get(local).iter() {
                     if uncovered.contains(e) {
                         delta.push(e as u32);
                     }

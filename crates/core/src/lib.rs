@@ -25,12 +25,13 @@
 //!   every fan-out in the workspace routes through — one spawn cost for the
 //!   process lifetime instead of one per pass. Results are identical at
 //!   every pool size and across pool reuse.
-//! * [`shard`] — **sharded arena storage**: [`shard::ShardedStore`] splits a
-//!   system into per-shard [`store::SetStore`] arenas under a
-//!   [`shard::ShardPlan`] (contiguous set-id ranges or universe blocks),
-//!   with parallel construction from sorted element lists and per-shard
-//!   sweeps; [`shard::StoreShard`] is the zero-copy shard view over one
-//!   flat arena that parallel consumers walk without striding shared data.
+//! * [`shard`] — **fan-out over one flat arena**: [`shard::StoreShard`] is
+//!   the zero-copy view of a contiguous set-id range that parallel
+//!   consumers walk without striding shared data, and
+//!   [`shard::split_ranges`] the partition arithmetic behind every fan-out.
+//!   A system is never split into per-shard arenas; arenas built by
+//!   parallel workers merge back through
+//!   [`system::SetSystem::from_shard_stores`].
 //! * [`bitset::BitSet`] — owned, mutable packed subsets of a fixed universe
 //!   `[n]` — the working-set type solvers mutate (residuals, coverage
 //!   accumulators) — with the full set algebra the paper's constructions
@@ -91,7 +92,7 @@ pub use greedy::{
 };
 pub use io::{read_instance, write_instance, ParseError};
 pub use runtime::Runtime;
-pub use shard::{split_ranges, ShardPlan, ShardedStore, StoreShard};
+pub use shard::{split_ranges, StoreShard};
 pub use stats::{linear_fit, mean, power_law_exponent, quantile, std_dev, system_stats};
 pub use store::{BatchedSweep, CompactionMap, KernelTier, ReprPolicy, SetRef, SetRepr, SetStore};
 pub use system::{SetId, SetSystem};

@@ -785,7 +785,7 @@ impl Runtime {
     /// The shared default-sized runtime (see [`Runtime::default`]),
     /// initialized lazily on first use and alive for the process lifetime —
     /// the pool behind the convenience entry points that take no explicit
-    /// runtime ([`crate::shard::map_parts`] and friends).
+    /// runtime ([`crate::greedy_cover_until_sharded`] and friends).
     pub fn global() -> &'static Runtime {
         static GLOBAL: OnceLock<Runtime> = OnceLock::new();
         GLOBAL.get_or_init(|| Runtime::new(default_workers()))

@@ -1,73 +1,32 @@
-//! Sharded arena storage: a set system split into per-shard [`SetStore`]
-//! arenas for parallel construction, per-shard sweeps, and (eventually)
-//! NUMA-friendly placement.
+//! Fan-out over one flat arena.
 //!
-//! A [`ShardedStore`] is addressed by a `(shard, local)` descriptor split
-//! instead of one flat set id; the partition is chosen by a [`ShardPlan`]:
+//! A set system lives in exactly one [`SetStore`]. Parallel consumers split
+//! it into views; they never copy it into per-shard arenas:
 //!
-//! * [`ShardPlan::BySetRange`] — shard `s` owns a contiguous range of set
-//!   ids. Each logical set lives whole in exactly one shard, so this is the
-//!   plan for fan-out over *sets* (parallel construction, per-shard
-//!   candidate sweeps). The global id order is the concatenation of the
-//!   shards.
-//! * [`ShardPlan::ByUniverseBlocks`] — shard `b` owns the projection of
-//!   *every* set onto the `b`-th contiguous block of the universe. A
-//!   logical set is the union of its per-block pieces (block ranges are
-//!   increasing and disjoint, so concatenating the sorted pieces
-//!   reconstructs the sorted element list). This is the plan for fan-out
-//!   over *elements* — per-block residual work, the shape of
-//!   `ParallelPass`'s block-partitioned refine.
+//! * [`split_ranges`] — the near-equal contiguous partition behind every
+//!   fan-out in the workspace (set-id ranges, universe word blocks, guess
+//!   grid chunks).
+//! * [`StoreShard`] — a zero-copy view of one contiguous set-id range,
+//!   produced by [`crate::SetSystem::shards`]. Parallel greedy seeding, the
+//!   pass engine's candidate filter and the distributed owners each sweep
+//!   their own view without striding past other workers' data.
 //!
-//! Conversions to and from the flat representation live on
-//! [`crate::SetSystem`] (`into_sharded` / `from_shards`), built on the same
-//! `subsystem`/`project` machinery the streaming algorithms already use;
-//! both round-trip to a semantically equal system under every plan and
-//! every [`ReprPolicy`]. For read-only fan-out without copying any arena,
-//! [`crate::SetSystem::shards`] hands out zero-copy [`StoreShard`] views
-//! over the single flat arena.
+//! The one seam in the other direction is
+//! [`crate::SetSystem::from_shard_stores`]: arenas built by parallel
+//! workers (a storing pass's chunks, a windowed stream's buckets) are
+//! concatenated into one flat system, representations verbatim.
 
 use crate::bitset::BitSet;
-use crate::store::{BatchedSweep, ReprPolicy, SetRef, SetStore};
-use crate::system::SetId;
+use crate::store::{BatchedSweep, SetRef, SetStore};
 use std::ops::Range;
-
-/// How a set system is partitioned into per-shard arenas.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ShardPlan {
-    /// Contiguous set-id ranges: shard `s` holds sets
-    /// `[s·⌈m/shards⌉ …)` whole. Shard counts are clamped to `[1, m]`.
-    BySetRange {
-        /// Requested number of shards.
-        shards: usize,
-    },
-    /// Contiguous universe blocks: every shard holds all `m` sets,
-    /// projected onto its element range. Block counts are clamped to
-    /// `[1, n]`.
-    ByUniverseBlocks {
-        /// Requested number of blocks.
-        blocks: usize,
-    },
-}
-
-impl ShardPlan {
-    /// The number of shards this plan actually produces on an `m`-set
-    /// system over `[n]` (requested counts are clamped so no shard is
-    /// degenerate beyond necessity; at least one shard always exists).
-    pub fn shard_count(self, m: usize, n: usize) -> usize {
-        match self {
-            ShardPlan::BySetRange { shards } => shards.clamp(1, m.max(1)),
-            ShardPlan::ByUniverseBlocks { blocks } => blocks.clamp(1, n.max(1)),
-        }
-    }
-}
 
 /// Splits `0..len` into `parts` contiguous near-equal ranges (the first
 /// `len % parts` ranges are one longer; trailing ranges may be empty when
 /// `parts > len`, but every range stays inside `0..len`). The partition
 /// arithmetic behind every fan-out in the workspace — pair it with
-/// [`map_parts`] instead of hand-rolling ceil-chunk bounds, which can
-/// produce inverted out-of-range windows when `parts` does not divide
-/// `len`.
+/// [`Runtime::map_parts`](crate::runtime::Runtime::map_parts) instead of
+/// hand-rolling ceil-chunk bounds, which can produce inverted out-of-range
+/// windows when `parts` does not divide `len`.
 pub fn split_ranges(len: usize, parts: usize) -> Vec<Range<usize>> {
     let parts = parts.max(1);
     let (base, extra) = (len / parts, len % parts);
@@ -79,334 +38,6 @@ pub fn split_ranges(len: usize, parts: usize) -> Vec<Range<usize>> {
         pos += size;
     }
     out
-}
-
-/// A set system stored as per-shard arenas under a [`ShardPlan`].
-///
-/// Every shard is a plain [`SetStore`] over the *full* universe (element
-/// labels stay global), so shard-local reads return ordinary [`SetRef`]
-/// views and all the representation-specialized kernels apply unchanged.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ShardedStore {
-    plan: ShardPlan,
-    universe: usize,
-    policy: ReprPolicy,
-    shards: Vec<SetStore>,
-    /// Element range per shard under `ByUniverseBlocks`; empty otherwise.
-    blocks: Vec<Range<usize>>,
-}
-
-impl ShardedStore {
-    /// Parallel construction from strictly increasing element lists on the
-    /// shared default [`Runtime`](crate::runtime::Runtime): each shard's
-    /// arena is one pooled work item (see
-    /// [`from_sorted_lists_in`](Self::from_sorted_lists_in)).
-    ///
-    /// Under `BySetRange`, shard `s` pushes its id range of `lists`; under
-    /// `ByUniverseBlocks`, shard `b` pushes the sub-slice of *every* list
-    /// falling in its element block (a `partition_point` pair per list —
-    /// the lists are sorted, so no per-element scan).
-    ///
-    /// # Panics
-    /// Panics if any list violates [`SetStore::push_sorted`]'s contract.
-    pub fn from_sorted_lists(
-        universe: usize,
-        policy: ReprPolicy,
-        plan: ShardPlan,
-        lists: &[Vec<u32>],
-    ) -> Self {
-        Self::from_sorted_lists_in(
-            crate::runtime::Runtime::global(),
-            universe,
-            policy,
-            plan,
-            lists,
-        )
-    }
-
-    /// [`from_sorted_lists`](Self::from_sorted_lists) on an explicit
-    /// runtime: the per-shard builds are submitted to `rt`'s persistent
-    /// pool instead of spawning scoped threads per call. The constructed
-    /// store is identical for every pool size.
-    ///
-    /// # Panics
-    /// Panics if any list violates [`SetStore::push_sorted`]'s contract.
-    pub fn from_sorted_lists_in(
-        rt: &crate::runtime::Runtime,
-        universe: usize,
-        policy: ReprPolicy,
-        plan: ShardPlan,
-        lists: &[Vec<u32>],
-    ) -> Self {
-        let k = plan.shard_count(lists.len(), universe);
-        match plan {
-            ShardPlan::BySetRange { .. } => {
-                let ranges = split_ranges(lists.len(), k);
-                let build = |r: &Range<usize>| {
-                    let mut st = SetStore::with_policy(universe, policy);
-                    for l in &lists[r.clone()] {
-                        st.push_sorted(l);
-                    }
-                    st
-                };
-                let shards = rt.map_parts(&ranges, build);
-                ShardedStore {
-                    plan: ShardPlan::BySetRange { shards: k },
-                    universe,
-                    policy,
-                    shards,
-                    blocks: Vec::new(),
-                }
-            }
-            ShardPlan::ByUniverseBlocks { .. } => {
-                let blocks = split_ranges(universe, k);
-                let build = |b: &Range<usize>| {
-                    let mut st = SetStore::with_policy(universe, policy);
-                    for l in lists {
-                        let lo = l.partition_point(|&e| (e as usize) < b.start);
-                        let hi = l.partition_point(|&e| (e as usize) < b.end);
-                        st.push_sorted(&l[lo..hi]);
-                    }
-                    st
-                };
-                let shards = rt.map_parts(&blocks, build);
-                ShardedStore {
-                    plan: ShardPlan::ByUniverseBlocks { blocks: k },
-                    universe,
-                    policy,
-                    shards,
-                    blocks,
-                }
-            }
-        }
-    }
-
-    /// Assembles a `ByUniverseBlocks` store from per-block projection
-    /// arenas (each holding all `m` sets projected onto its block) — the
-    /// seam `SetSystem::into_sharded` builds through `project`.
-    pub(crate) fn from_block_stores(
-        universe: usize,
-        policy: ReprPolicy,
-        stores: Vec<SetStore>,
-        blocks: Vec<Range<usize>>,
-    ) -> Self {
-        assert_eq!(stores.len(), blocks.len(), "one arena per block");
-        assert!(!stores.is_empty(), "need at least one block arena");
-        debug_assert!(stores.windows(2).all(|w| w[0].len() == w[1].len()));
-        ShardedStore {
-            plan: ShardPlan::ByUniverseBlocks {
-                blocks: blocks.len(),
-            },
-            universe,
-            policy,
-            shards: stores,
-            blocks,
-        }
-    }
-
-    /// Assembles a `BySetRange` store from already-built shard arenas — the
-    /// seam `ParallelPass::store_pass` merges its per-worker arenas
-    /// through. Shard `s`'s sets get the global ids following shard
-    /// `s−1`'s.
-    ///
-    /// # Panics
-    /// Panics if `stores` is empty or any store's universe differs.
-    pub fn from_shard_stores(universe: usize, policy: ReprPolicy, stores: Vec<SetStore>) -> Self {
-        assert!(!stores.is_empty(), "need at least one shard arena");
-        for s in &stores {
-            assert_eq!(
-                s.universe(),
-                universe,
-                "shard universe mismatch: {} vs {universe}",
-                s.universe()
-            );
-        }
-        ShardedStore {
-            plan: ShardPlan::BySetRange {
-                shards: stores.len(),
-            },
-            universe,
-            policy,
-            shards: stores,
-            blocks: Vec::new(),
-        }
-    }
-
-    /// The (normalized) partition plan.
-    pub fn plan(&self) -> ShardPlan {
-        self.plan
-    }
-
-    /// Universe size `n`.
-    pub fn universe(&self) -> usize {
-        self.universe
-    }
-
-    /// The representation policy new sets are inserted under.
-    pub fn policy(&self) -> ReprPolicy {
-        self.policy
-    }
-
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The per-shard arenas, in shard order.
-    pub fn shards(&self) -> &[SetStore] {
-        &self.shards
-    }
-
-    /// One shard's arena.
-    pub fn shard(&self, s: usize) -> &SetStore {
-        &self.shards[s]
-    }
-
-    /// Consumes the sharded store, handing out the per-shard arenas whole —
-    /// the export seam for execution modes that give each shard away (a
-    /// distributed owner takes its arena as private state, no aliasing back
-    /// into the source). Under `BySetRange` the concatenation of the
-    /// returned stores in order is the original global id order.
-    pub fn into_stores(self) -> Vec<SetStore> {
-        self.shards
-    }
-
-    /// The element block owned by shard `s` under `ByUniverseBlocks`.
-    ///
-    /// # Panics
-    /// Panics under `BySetRange` (set-range shards own ids, not elements).
-    pub fn block(&self, s: usize) -> Range<usize> {
-        assert!(
-            matches!(self.plan, ShardPlan::ByUniverseBlocks { .. }),
-            "block() is only defined for ByUniverseBlocks shards"
-        );
-        self.blocks[s].clone()
-    }
-
-    /// Number of *logical* sets: the sum of shard lengths under
-    /// `BySetRange`, the (shared) per-shard length under
-    /// `ByUniverseBlocks`.
-    pub fn len(&self) -> usize {
-        match self.plan {
-            ShardPlan::BySetRange { .. } => self.shards.iter().map(|s| s.len()).sum(),
-            ShardPlan::ByUniverseBlocks { .. } => self.shards.first().map_or(0, |s| s.len()),
-        }
-    }
-
-    /// Whether the store holds no logical sets.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Shard-local read: the set (or, under `ByUniverseBlocks`, the piece)
-    /// at `(shard, local)`.
-    ///
-    /// # Panics
-    /// Panics if either index is out of range.
-    #[inline]
-    pub fn get(&self, shard: usize, local: usize) -> SetRef<'_> {
-        self.shards[shard].get(local)
-    }
-
-    /// Shard-local append, returning the local index within `shard`.
-    ///
-    /// Under `BySetRange` this appends a whole new logical set to the
-    /// shard (its global id follows the shard-concatenation order); under
-    /// `ByUniverseBlocks` it appends one *piece*, which must lie inside
-    /// the shard's element block, and callers are responsible for pushing
-    /// one piece per logical set to every shard (as
-    /// [`from_sorted_lists`](Self::from_sorted_lists) does) so shard
-    /// lengths stay aligned.
-    ///
-    /// # Panics
-    /// Panics if the list is not strictly increasing, any element is out
-    /// of the universe, or (under `ByUniverseBlocks`) any element falls
-    /// outside the shard's block.
-    pub fn push_sorted(&mut self, shard: usize, elems: &[u32]) -> usize {
-        if let ShardPlan::ByUniverseBlocks { .. } = self.plan {
-            let b = &self.blocks[shard];
-            if let (Some(&first), Some(&last)) = (elems.first(), elems.last()) {
-                assert!(
-                    b.start <= first as usize && (last as usize) < b.end,
-                    "piece [{first}, {last}] outside shard block {b:?}"
-                );
-            }
-        }
-        self.shards[shard].push_sorted(elems)
-    }
-
-    /// Locates the shard holding global set id `i` under `BySetRange`,
-    /// returning `(shard, local)`.
-    ///
-    /// # Panics
-    /// Panics under `ByUniverseBlocks` (every shard holds a piece of `i` at
-    /// `local = i`) or if `i` is out of range.
-    pub fn locate(&self, i: SetId) -> (usize, usize) {
-        assert!(
-            matches!(self.plan, ShardPlan::BySetRange { .. }),
-            "locate() is only defined for BySetRange shards"
-        );
-        let mut offset = 0;
-        for (s, shard) in self.shards.iter().enumerate() {
-            if i < offset + shard.len() {
-                return (s, i - offset);
-            }
-            offset += shard.len();
-        }
-        panic!("set id {i} out of range for {offset} sharded sets");
-    }
-
-    /// The sorted element list of logical set `i`, reassembled across
-    /// shards: a single shard-local copy under `BySetRange`, the
-    /// block-order concatenation of the pieces under `ByUniverseBlocks`
-    /// (blocks are increasing and disjoint, so the concatenation is
-    /// sorted).
-    pub fn logical_elems(&self, i: SetId) -> Vec<u32> {
-        match self.plan {
-            ShardPlan::BySetRange { .. } => {
-                let (s, local) = self.locate(i);
-                self.shards[s].get(local).iter().map(|e| e as u32).collect()
-            }
-            ShardPlan::ByUniverseBlocks { .. } => {
-                let mut out = Vec::new();
-                for shard in &self.shards {
-                    out.extend(shard.get(i).iter().map(|e| e as u32));
-                }
-                out
-            }
-        }
-    }
-
-    /// Total `(set, element)` incidences across all shard arenas.
-    pub fn total_incidences(&self) -> usize {
-        self.shards.iter().map(|s| s.total_incidences()).sum()
-    }
-
-    /// Sum of the paper-accounting bits the shard arenas actually store
-    /// (tombstone charges included — see [`SetStore::stored_bits`]).
-    pub fn stored_bits(&self) -> u64 {
-        self.shards.iter().map(|s| s.stored_bits()).sum()
-    }
-
-    /// Paper-accounting bits still occupied by tombstoned slots across all
-    /// shard arenas — the garbage a windowed stream's bucket-expiry leaves
-    /// behind until whole buckets drop.
-    pub fn tombstone_bits(&self) -> u64 {
-        self.shards.iter().map(|s| s.tombstone_bits()).sum()
-    }
-}
-
-/// Runs `work` once per part on the shared default-sized
-/// [`Runtime`](crate::runtime::Runtime) — inline when there is only one
-/// part — returning results in part order. The one fork/join shape every
-/// per-shard fan-out in the workspace uses (shard construction, the
-/// `into_sharded` splits, parallel greedy seeding, `ParallelPass`'s
-/// candidate filter). Callers holding their own runtime should use
-/// [`Runtime::map_parts`](crate::runtime::Runtime::map_parts) directly;
-/// this free function exists for entry points with no runtime in scope and
-/// pays no per-call spawn either way (the pool is persistent).
-pub fn map_parts<P: Sync, T: Send>(parts: &[P], work: impl Fn(&P) -> T + Sync) -> Vec<T> {
-    crate::runtime::Runtime::global().map_parts(parts, work)
 }
 
 /// A zero-copy shard view over one flat [`SetStore`] arena: a contiguous
@@ -463,32 +94,13 @@ impl<'a> StoreShard<'a> {
     }
 }
 
-impl BatchedSweep {
-    /// Gains of one shard's sets against a dense residual, in shard-local
-    /// order, walking **one shard arena per call** — the per-shard
-    /// counterpart of [`BatchedSweep::gains`]. Under `ByUniverseBlocks`
-    /// the per-shard gains of a logical set sum (over shards) to its
-    /// unsharded gain; under `BySetRange` the shard-order concatenation
-    /// *is* the unsharded gains vector.
-    ///
-    /// # Panics
-    /// Panics if `shard` is out of range or the residual's capacity
-    /// differs from the store's universe.
-    pub fn gains_sharded(
-        &mut self,
-        sharded: &ShardedStore,
-        shard: usize,
-        residual: &BitSet,
-    ) -> &[usize] {
-        self.gains(sharded.shard(shard), residual)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::ReprPolicy;
+    use crate::system::SetSystem;
 
-    fn lists() -> Vec<Vec<u32>> {
+    fn lists() -> Vec<Vec<usize>> {
         vec![
             vec![0, 1, 2, 63, 64],
             vec![],
@@ -500,18 +112,11 @@ mod tests {
 
     #[test]
     fn shard_count_clamps() {
-        assert_eq!(ShardPlan::BySetRange { shards: 4 }.shard_count(10, 100), 4);
-        assert_eq!(ShardPlan::BySetRange { shards: 0 }.shard_count(10, 100), 1);
-        assert_eq!(ShardPlan::BySetRange { shards: 99 }.shard_count(3, 100), 3);
-        assert_eq!(
-            ShardPlan::ByUniverseBlocks { blocks: 8 }.shard_count(3, 100),
-            8
-        );
-        assert_eq!(
-            ShardPlan::ByUniverseBlocks { blocks: 500 }.shard_count(3, 100),
-            100
-        );
-        assert_eq!(ShardPlan::BySetRange { shards: 2 }.shard_count(0, 0), 1);
+        let sys = SetSystem::from_elements(100, &lists());
+        assert_eq!(sys.shards(4).len(), 4);
+        assert_eq!(sys.shards(0).len(), 1, "zero clamps to one view");
+        assert_eq!(sys.shards(99).len(), 5, "clamped to m");
+        assert_eq!(SetSystem::new(0).shards(2).len(), 1);
     }
 
     #[test]
@@ -524,71 +129,18 @@ mod tests {
 
     #[test]
     fn by_set_range_partitions_ids() {
-        let st = ShardedStore::from_sorted_lists(
-            100,
-            ReprPolicy::Auto,
-            ShardPlan::BySetRange { shards: 2 },
-            &lists(),
+        let sys = SetSystem::from_elements(100, &lists());
+        let shards = sys.shards(2);
+        assert_eq!(shards[0].ids(), 0..3);
+        assert_eq!(shards[1].ids(), 3..5);
+        assert_eq!(shards[0].get(2).to_vec(), vec![5, 70, 99]);
+        assert_eq!(shards[1].get(0).to_vec(), vec![0, 99]);
+        assert_eq!(
+            shards[1].get(1).to_vec(),
+            vec![33, 34, 35, 36, 37, 38, 39, 40]
         );
-        assert_eq!(st.num_shards(), 2);
-        assert_eq!(st.len(), 5);
-        assert_eq!(st.shard(0).len(), 3);
-        assert_eq!(st.shard(1).len(), 2);
-        assert_eq!(st.get(0, 2).to_vec(), vec![5, 70, 99]);
-        assert_eq!(st.get(1, 0).to_vec(), vec![0, 99]);
-        assert_eq!(st.locate(3), (1, 0));
-        assert_eq!(st.logical_elems(4), vec![33, 34, 35, 36, 37, 38, 39, 40]);
-        assert_eq!(st.total_incidences(), 5 + 3 + 2 + 8);
-    }
-
-    #[test]
-    fn by_universe_blocks_projects_every_set() {
-        let st = ShardedStore::from_sorted_lists(
-            100,
-            ReprPolicy::ForceSparse,
-            ShardPlan::ByUniverseBlocks { blocks: 2 },
-            &lists(),
-        );
-        assert_eq!(st.num_shards(), 2);
-        assert_eq!(st.block(0), 0..50);
-        assert_eq!(st.block(1), 50..100);
-        assert_eq!(st.len(), 5, "every shard holds all logical sets");
-        // Set 0 = {0,1,2,63,64}: piece {0,1,2} in block 0, {63,64} in 1.
-        assert_eq!(st.get(0, 0).to_vec(), vec![0, 1, 2]);
-        assert_eq!(st.get(1, 0).to_vec(), vec![63, 64]);
-        assert_eq!(st.logical_elems(0), vec![0, 1, 2, 63, 64]);
-        assert_eq!(st.logical_elems(1), Vec::<u32>::new());
-        // Incidences are preserved: blocks partition the universe.
-        assert_eq!(st.total_incidences(), 5 + 3 + 2 + 8);
-    }
-
-    #[test]
-    fn push_sorted_is_shard_local() {
-        let mut st = ShardedStore::from_sorted_lists(
-            64,
-            ReprPolicy::Auto,
-            ShardPlan::BySetRange { shards: 2 },
-            &[vec![1], vec![2]],
-        );
-        let local = st.push_sorted(0, &[7, 8]);
-        assert_eq!(local, 1);
-        assert_eq!(st.len(), 3);
-        // Global order is the shard concatenation: shard 0 grew, so the
-        // pushed set sits at global id 1 and shard 1's set moved to 2.
-        assert_eq!(st.locate(1), (0, 1));
-        assert_eq!(st.locate(2), (1, 0));
-    }
-
-    #[test]
-    #[should_panic(expected = "outside shard block")]
-    fn universe_block_push_rejects_out_of_block_pieces() {
-        let mut st = ShardedStore::from_sorted_lists(
-            64,
-            ReprPolicy::Auto,
-            ShardPlan::ByUniverseBlocks { blocks: 2 },
-            &[],
-        );
-        st.push_sorted(0, &[40]); // block 0 is 0..32
+        // Every view reads the one arena: no set is copied.
+        assert!(shards.iter().all(|s| std::ptr::eq(s.store(), sys.store())));
     }
 
     #[test]
@@ -598,82 +150,47 @@ mod tests {
         let mut b = SetStore::new(16);
         b.push_sorted(&[2]);
         b.push_sorted(&[3]);
-        let st = ShardedStore::from_shard_stores(16, ReprPolicy::Auto, vec![a, b]);
-        assert_eq!(st.len(), 3);
-        assert_eq!(st.locate(0), (0, 0));
-        assert_eq!(st.locate(2), (1, 1));
-        assert_eq!(st.logical_elems(2), vec![3]);
+        let sys = SetSystem::from_shard_stores(16, ReprPolicy::Auto, [&a, &b]);
+        assert_eq!(sys.len(), 3);
+        assert_eq!(sys.set(0).to_vec(), vec![0, 1]);
+        assert_eq!(sys.set(2).to_vec(), vec![3]);
+        assert_eq!(sys.epoch(), 0, "a construction helper");
+        // Shards out and back in: set-range views copied into private
+        // arenas reassemble the original system.
+        let orig = SetSystem::from_elements(100, &lists());
+        for k in 1..=6 {
+            let stores: Vec<SetStore> = orig
+                .shards(k)
+                .iter()
+                .map(|s| orig.subsystem(s.ids()).into_store())
+                .collect();
+            let back = SetSystem::from_shard_stores(100, ReprPolicy::Auto, &stores);
+            assert_eq!(back, orig, "k={k}");
+        }
     }
 
     #[test]
     #[should_panic(expected = "shard universe mismatch")]
     fn from_shard_stores_checks_universe() {
-        ShardedStore::from_shard_stores(16, ReprPolicy::Auto, vec![SetStore::new(8)]);
+        SetSystem::from_shard_stores(16, ReprPolicy::Auto, [&SetStore::new(8)]);
     }
 
     #[test]
     fn gains_sharded_walks_one_arena() {
         let n = 100;
         let residual = BitSet::from_iter(n, (0..n).filter(|e| e % 2 == 0));
-        let flat = {
-            let mut st = SetStore::new(n);
-            for l in &lists() {
-                st.push_sorted(l);
-            }
-            st
-        };
+        let sys = SetSystem::from_elements(n, &lists());
         let mut sweep = BatchedSweep::new();
-        let expect = sweep.gains(&flat, &residual).to_vec();
-
-        // BySetRange: shard-order concatenation equals the flat gains.
-        let by_sets = ShardedStore::from_sorted_lists(
-            n,
-            ReprPolicy::Auto,
-            ShardPlan::BySetRange { shards: 2 },
-            &lists(),
-        );
-        let mut cat = Vec::new();
-        for s in 0..by_sets.num_shards() {
-            cat.extend_from_slice(sweep.gains_sharded(&by_sets, s, &residual));
-        }
-        assert_eq!(cat, expect);
-
-        // ByUniverseBlocks: per-set gains sum across shards to the flat
-        // gains (blocks partition the universe).
-        let by_blocks = ShardedStore::from_sorted_lists(
-            n,
-            ReprPolicy::Auto,
-            ShardPlan::ByUniverseBlocks { blocks: 3 },
-            &lists(),
-        );
-        let mut sums = vec![0usize; by_blocks.len()];
-        for s in 0..by_blocks.num_shards() {
-            for (i, &g) in sweep
-                .gains_sharded(&by_blocks, s, &residual)
-                .iter()
-                .enumerate()
-            {
-                sums[i] += g;
+        let expect = sweep.gains(sys.store(), &residual).to_vec();
+        // The shard-order concatenation of per-view gains is the flat
+        // gains vector at every shard count.
+        for k in 1..=6 {
+            let mut cat = Vec::new();
+            for shard in sys.shards(k) {
+                cat.extend_from_slice(shard.gains(&mut sweep, &residual));
             }
+            assert_eq!(cat, expect, "k={k}");
         }
-        assert_eq!(sums, expect);
-    }
-
-    #[test]
-    fn sharded_tombstone_bits_sum_over_shards() {
-        let mut a = SetStore::new(1024);
-        a.push_sorted(&[0, 1, 2, 3]); // sparse: 40 bits
-        let mut b = SetStore::new(1024);
-        b.push_sorted(&(0..1024).step_by(2).collect::<Vec<u32>>()); // dense
-        b.push_sorted(&[9]);
-        let mut st = ShardedStore::from_shard_stores(1024, ReprPolicy::Auto, vec![a, b]);
-        let before = st.stored_bits();
-        assert_eq!(st.tombstone_bits(), 0);
-        // Tombstone one slot per shard through the shard arenas.
-        st.shards[0].remove(0);
-        st.shards[1].remove(0);
-        assert_eq!(st.tombstone_bits(), 40 + 1024);
-        assert_eq!(st.stored_bits(), before, "charges persist across shards");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! backed by the hybrid sparse/dense arena of [`crate::store`].
 
 use crate::bitset::BitSet;
-use crate::shard::{split_ranges, ShardPlan, ShardedStore, StoreShard};
+use crate::shard::{split_ranges, StoreShard};
 use crate::store::{CompactionMap, ReprPolicy, SetRef, SetStore};
 use std::fmt;
 
@@ -118,7 +118,7 @@ impl SetSystem {
     /// The counter orders mutations on *one* instance — it is not a
     /// content hash: clones carry their source's epoch forward, while
     /// construction helpers (`from_elements`, `project`, `subsystem`,
-    /// `from_shards`, …) build at epoch 0. Equality
+    /// `from_shard_stores`, …) build at epoch 0. Equality
     /// ([`PartialEq`]) ignores it.
     #[inline]
     pub fn epoch(&self) -> u64 {
@@ -298,87 +298,51 @@ impl SetSystem {
         SetSystem { store, epoch: 0 }
     }
 
-    /// Unwraps the backing arena, consuming the system — how shard
-    /// assembly ([`ShardedStore::from_shard_stores`]) takes ownership of
-    /// per-worker arenas built through the `SetSystem` API.
+    /// Unwraps the backing arena, consuming the system.
     pub fn into_store(self) -> SetStore {
         self.store
+    }
+
+    /// Concatenates arenas built by parallel workers into one flat system
+    /// under `policy`: the sets of `stores[0]` first, then `stores[1]`, and
+    /// so on, each copied with its representation verbatim (a tombstoned
+    /// slot arrives as the empty set it reads as). The merge seam of
+    /// `ParallelPass::store_pass` and the windowed turnstile snapshot.
+    ///
+    /// # Panics
+    /// Panics if any store's universe differs from `universe`.
+    pub fn from_shard_stores<'a>(
+        universe: usize,
+        policy: ReprPolicy,
+        stores: impl IntoIterator<Item = &'a SetStore>,
+    ) -> SetSystem {
+        let mut out = SetSystem::with_policy(universe, policy);
+        for s in stores {
+            assert_eq!(
+                s.universe(),
+                universe,
+                "shard universe mismatch: {} vs {universe}",
+                s.universe()
+            );
+            for i in 0..s.len() {
+                out.store.push_ref(s.get(i));
+            }
+        }
+        out
     }
 
     /// Zero-copy shard views: `shards` contiguous near-equal set-id ranges
     /// over the single flat arena (clamped to `[1, m]`, with at least one
     /// view even when empty). Each [`StoreShard`] walks only its own
     /// descriptor span, so parallel consumers — `ParallelPass` chunk
-    /// workers, parallel greedy seeding — iterate their own arena region
-    /// instead of striding a shared one.
+    /// workers, parallel greedy seeding, distributed owners — iterate
+    /// their own arena region instead of striding a shared one.
     pub fn shards(&self, shards: usize) -> Vec<StoreShard<'_>> {
-        let k = ShardPlan::BySetRange { shards }.shard_count(self.len(), self.universe());
+        let k = shards.clamp(1, self.len().max(1));
         split_ranges(self.len(), k)
             .into_iter()
             .map(|r| StoreShard::new(&self.store, r))
             .collect()
-    }
-
-    /// Splits the system into per-shard arenas under `plan`, building the
-    /// shards in parallel on the shared default
-    /// [`Runtime`](crate::runtime::Runtime) (see
-    /// [`into_sharded_in`](Self::into_sharded_in)). `BySetRange` shards are
-    /// assembled through the existing [`subsystem`](Self::subsystem)
-    /// machinery (representations copied verbatim); `ByUniverseBlocks`
-    /// shards through [`project`](Self::project) onto each block's domain
-    /// (pieces re-homed by the policy cutover, exactly like any other
-    /// projection).
-    pub fn into_sharded(&self, plan: ShardPlan) -> ShardedStore {
-        self.into_sharded_in(crate::runtime::Runtime::global(), plan)
-    }
-
-    /// [`into_sharded`](Self::into_sharded) on an explicit runtime: each
-    /// shard's build is one pooled work item on `rt`. The result is
-    /// identical for every pool size.
-    pub fn into_sharded_in(&self, rt: &crate::runtime::Runtime, plan: ShardPlan) -> ShardedStore {
-        let (n, policy) = (self.universe(), self.store.policy());
-        let k = plan.shard_count(self.len(), n);
-        match plan {
-            ShardPlan::BySetRange { .. } => {
-                let stores = rt.map_parts(&split_ranges(self.len(), k), |r| {
-                    self.subsystem(r.clone()).into_store()
-                });
-                ShardedStore::from_shard_stores(n, policy, stores)
-            }
-            ShardPlan::ByUniverseBlocks { .. } => {
-                let blocks = split_ranges(n, k);
-                let stores = rt.map_parts(&blocks, |b| {
-                    let dom = BitSet::from_iter(n, b.clone());
-                    self.project(&dom).into_store()
-                });
-                ShardedStore::from_block_stores(n, policy, stores, blocks)
-            }
-        }
-    }
-
-    /// Reassembles a flat system from per-shard arenas: the shard
-    /// concatenation under `BySetRange` (representations preserved
-    /// verbatim), the block-order piece concatenation per logical set under
-    /// `ByUniverseBlocks` (representations re-chosen by the policy).
-    /// Round-trips with [`into_sharded`](Self::into_sharded) to a
-    /// semantically equal system under every plan and policy.
-    pub fn from_shards(sharded: &ShardedStore) -> SetSystem {
-        let mut out = SetSystem::with_policy(sharded.universe(), sharded.policy());
-        match sharded.plan() {
-            ShardPlan::BySetRange { .. } => {
-                for shard in sharded.shards() {
-                    for j in 0..shard.len() {
-                        out.store.push_ref(shard.get(j));
-                    }
-                }
-            }
-            ShardPlan::ByUniverseBlocks { .. } => {
-                for i in 0..sharded.len() {
-                    out.store.push_sorted(&sharded.logical_elems(i));
-                }
-            }
-        }
-        out
     }
 }
 
@@ -594,17 +558,28 @@ mod tests {
 
     #[test]
     fn sharded_round_trip_both_plans() {
-        use crate::shard::ShardPlan;
         let s = demo();
-        for plan in [
-            ShardPlan::BySetRange { shards: 2 },
-            ShardPlan::ByUniverseBlocks { blocks: 3 },
-        ] {
-            let sharded = s.into_sharded(plan);
-            assert_eq!(sharded.len(), s.len(), "{plan:?}");
-            let back = SetSystem::from_shards(&sharded);
-            assert_eq!(back, s, "{plan:?} round-trip");
-        }
+        // Set ranges: private arenas copied from the shard views merge
+        // back through `from_shard_stores`.
+        let stores: Vec<SetStore> = s
+            .shards(2)
+            .iter()
+            .map(|sh| s.subsystem(sh.ids()).into_store())
+            .collect();
+        assert_eq!(stores.iter().map(SetStore::len).sum::<usize>(), s.len());
+        let back = SetSystem::from_shard_stores(s.universe(), s.store().policy(), &stores);
+        assert_eq!(back, s, "set-range round-trip");
+        // Universe blocks: projections onto the block domains concatenate,
+        // in block order, to each set.
+        let blocks: Vec<SetSystem> = split_ranges(s.universe(), 3)
+            .into_iter()
+            .map(|b| s.project(&BitSet::from_iter(s.universe(), b)))
+            .collect();
+        let lists: Vec<Vec<usize>> = (0..s.len())
+            .map(|i| blocks.iter().flat_map(|p| p.set(i).iter()).collect())
+            .collect();
+        let back = SetSystem::from_elements(s.universe(), &lists);
+        assert_eq!(back, s, "universe-block round-trip");
     }
 
     #[test]

@@ -1,11 +1,12 @@
-//! Property tests for the sharded arena storage: on arbitrary systems,
-//! `into_sharded → (shard reads) → from_shards` must round-trip to a
-//! semantically equal `SetSystem` under **both** `ShardPlan`s and **every**
-//! `ReprPolicy`, and the per-shard sweeps (`gains_sharded`, the zero-copy
-//! `shards()` spans) must agree with the unsharded `BatchedSweep`.
+//! Property tests for fan-out over the one flat arena: on arbitrary
+//! systems, set-range shards copied into private arenas (serially or as
+//! parallel runtime work items) must merge back through
+//! `SetSystem::from_shard_stores` to a semantically equal system under
+//! **every** `ReprPolicy`, and the zero-copy `shards()` span sweeps must
+//! agree with the unsharded `BatchedSweep`.
 
 use proptest::prelude::*;
-use streamcover_core::{BatchedSweep, BitSet, ReprPolicy, SetSystem, ShardPlan, ShardedStore};
+use streamcover_core::{BatchedSweep, BitSet, ReprPolicy, Runtime, SetStore, SetSystem};
 
 /// Strategy: `(universe, element lists, residual elements, shard count)`.
 fn arb_instance() -> impl Strategy<Value = (usize, Vec<Vec<usize>>, Vec<usize>, usize)> {
@@ -43,45 +44,52 @@ proptest! {
         let (n, lists, _, k) = inst;
         for policy in POLICIES {
             let sys = system_of(policy, n, &lists);
-            for plan in [
-                ShardPlan::BySetRange { shards: k },
-                ShardPlan::ByUniverseBlocks { blocks: k },
-            ] {
-                let sharded = sys.into_sharded(plan);
-                prop_assert_eq!(sharded.len(), sys.len());
-                prop_assert_eq!(sharded.universe(), sys.universe());
-                prop_assert_eq!(sharded.total_incidences(), sys.total_incidences());
-                // Logical reads through the (shard, local) split agree
-                // with the flat system.
-                for i in 0..sys.len() {
-                    let elems: Vec<usize> =
-                        sharded.logical_elems(i).iter().map(|&e| e as usize).collect();
-                    prop_assert_eq!(&elems, &sys.set(i).to_vec());
+            let shards = sys.shards(k);
+            prop_assert_eq!(shards.iter().map(|s| s.len()).sum::<usize>(), sys.len());
+            // Shard-local reads agree with the flat system.
+            for shard in &shards {
+                for (j, i) in shard.ids().enumerate() {
+                    prop_assert_eq!(shard.get(j), sys.set(i));
                 }
-                let back = SetSystem::from_shards(&sharded);
-                prop_assert_eq!(&back, &sys);
             }
+            // Private per-shard arenas (copied from the views) merge back
+            // to the original system, representations verbatim.
+            let stores: Vec<SetStore> = shards
+                .iter()
+                .map(|s| sys.subsystem(s.ids()).into_store())
+                .collect();
+            let back = SetSystem::from_shard_stores(n, policy, &stores);
+            prop_assert_eq!(&back, &sys);
+            prop_assert_eq!(back.repr_counts(), sys.repr_counts());
+            prop_assert_eq!(back.stored_bits(), sys.stored_bits());
         }
     }
 
     #[test]
     fn parallel_construction_matches_into_sharded(inst in arb_instance()) {
         let (n, lists, _, k) = inst;
-        // from_sorted_lists (the parallel construction path) and
-        // into_sharded (the subsystem/project path) must assemble
-        // semantically identical shards from the same input.
-        let sys = system_of(ReprPolicy::Auto, n, &lists);
-        let sorted: Vec<Vec<u32>> = (0..sys.len())
-            .map(|i| sys.set(i).iter().map(|e| e as u32).collect())
-            .collect();
-        for plan in [
-            ShardPlan::BySetRange { shards: k },
-            ShardPlan::ByUniverseBlocks { blocks: k },
-        ] {
-            let a = sys.into_sharded(plan);
-            let b = ShardedStore::from_sorted_lists(n, ReprPolicy::Auto, plan, &sorted);
-            prop_assert_eq!(a.num_shards(), b.num_shards());
-            prop_assert_eq!(SetSystem::from_shards(&a), SetSystem::from_shards(&b));
+        // Per-range arenas built from sorted lists as runtime work items
+        // (the parallel construction path) and arenas copied out of the
+        // zero-copy shard views must hold the same sets and merge to the
+        // flat build.
+        for policy in POLICIES {
+            let sys = system_of(policy, n, &lists);
+            let shards = sys.shards(k);
+            let copied: Vec<SetSystem> = shards.iter().map(|s| sys.subsystem(s.ids())).collect();
+            let ranges: Vec<_> = shards.iter().map(|s| s.ids()).collect();
+            let built = Runtime::global().map_parts(&ranges, |r| {
+                let mut st = SetStore::with_policy(n, policy);
+                for i in r.clone() {
+                    let elems: Vec<u32> = sys.set(i).iter().map(|e| e as u32).collect();
+                    st.push_sorted(&elems);
+                }
+                st
+            });
+            prop_assert_eq!(built.len(), copied.len());
+            for (b, c) in built.iter().zip(&copied) {
+                prop_assert_eq!(&SetSystem::from_store(b.clone()), c);
+            }
+            prop_assert_eq!(&SetSystem::from_shard_stores(n, policy, &built), &sys);
         }
     }
 
@@ -93,33 +101,13 @@ proptest! {
             let sys = system_of(policy, n, &lists);
             let mut sweep = BatchedSweep::new();
             let expect = sweep.gains(sys.store(), &residual).to_vec();
-
-            // BySetRange: shard-order concatenation is the gains vector.
-            let by_sets = sys.into_sharded(ShardPlan::BySetRange { shards: k });
+            // Zero-copy shard views: span sweeps concatenate to the gains
+            // vector (same arena, no copies).
             let mut cat = Vec::new();
-            for s in 0..by_sets.num_shards() {
-                cat.extend_from_slice(sweep.gains_sharded(&by_sets, s, &residual));
+            for shard in sys.shards(k) {
+                cat.extend_from_slice(shard.gains(&mut sweep, &residual));
             }
             prop_assert_eq!(&cat, &expect);
-
-            // ByUniverseBlocks: per-set gains sum across shards.
-            let by_blocks = sys.into_sharded(ShardPlan::ByUniverseBlocks { blocks: k });
-            let mut sums = vec![0usize; by_blocks.len()];
-            for s in 0..by_blocks.num_shards() {
-                let part = sweep.gains_sharded(&by_blocks, s, &residual).to_vec();
-                for (acc, g) in sums.iter_mut().zip(part) {
-                    *acc += g;
-                }
-            }
-            prop_assert_eq!(&sums, &expect);
-
-            // Zero-copy shard views: span sweeps concatenate to the gains
-            // vector too (same arena, no copies).
-            let mut cat_views = Vec::new();
-            for shard in sys.shards(k) {
-                cat_views.extend_from_slice(shard.gains(&mut sweep, &residual));
-            }
-            prop_assert_eq!(&cat_views, &expect);
         }
     }
 }

@@ -106,12 +106,11 @@ pub fn stress_cover<R: Rng + ?Sized>(rng: &mut R, threads: usize) -> PlantedWork
     planted_cover(rng, 4096, m, 32)
 }
 
-/// A planted workload sized for sharded storage: with `shards` shards,
-/// every `BySetRange` shard still holds at least 1024 sets **and** every
-/// `ByUniverseBlocks` block still spans at least 512 elements, so both
-/// shard plans have real arenas per worker (per-shard construction and
-/// sweeps dominate the fan-out overhead, and dense pieces do not
-/// degenerate to empty word slabs).
+/// A planted workload sized for both fan-out shapes: with `shards` shards,
+/// every set-range shard view still holds at least 1024 sets **and** every
+/// universe block still spans at least 512 elements, so per-shard sweeps
+/// and block-partitioned refine waves both dominate the fan-out overhead
+/// (and dense pieces do not degenerate to empty word slabs).
 ///
 /// Concretely: `n = max(4096, shards·512)`, `m = max(4, shards)·1024`,
 /// planted optimum 32.

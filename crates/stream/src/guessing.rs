@@ -39,9 +39,9 @@ pub struct GuessDriver {
 }
 
 impl GuessDriver {
-    /// A driver with grid ratio `1+ε`. Execution (fan-out width, meter
-    /// fold) is configured per call by the [`ExecPolicy`] handed to
-    /// [`run`](Self::run) — the driver itself carries no thread knobs.
+    /// A driver with grid ratio `1+ε`. The fan-out width is configured per
+    /// call by the [`ExecPolicy`] handed to [`run`](Self::run) — the driver
+    /// itself carries no thread knobs.
     pub fn new(eps: f64) -> Self {
         assert!(eps > 0.0, "ε > 0 required");
         GuessDriver { eps }
@@ -114,18 +114,14 @@ impl GuessDriver {
             .flatten()
             .collect();
 
-        // Fold in guess order: passes max, peaks folded under the policy's
-        // guess fold (`Concurrent` by default — the copies coexist for the
-        // whole run, so peaks add). One joint absorb over ALL copy meters:
-        // `Concurrent` is additive so the joint fold equals per-copy folds,
-        // but `Scoped`'s `max(peak, live + Σ worker peaks)` is only correct
-        // over the whole set at once. Best = smallest feasible with ties to
-        // the earlier guess.
+        // Fold in guess order: passes max, peaks add (the copies coexist
+        // for the whole run). Best = smallest feasible with ties to the
+        // earlier guess.
         let driver_meter = SpaceMeter::new();
-        driver_meter.absorb(policy.guess_fold, results.iter().map(|(_, _, m)| m));
         let mut best: Option<Vec<SetId>> = None;
         let mut max_passes = 0usize;
-        for (sol, passes, _meter) in results {
+        for (sol, passes, meter) in results {
+            driver_meter.absorb_parallel(&meter);
             max_passes = max_passes.max(passes);
             if let Some(sol) = sol {
                 debug_assert!(sys.is_cover(&sol), "per-guess returned a non-cover");
@@ -300,32 +296,6 @@ mod tests {
             assert_eq!(run.passes, base.passes, "workers={workers}");
             assert_eq!(run.peak_bits, base.peak_bits, "workers={workers}");
         }
-    }
-
-    #[test]
-    fn scoped_guess_fold_joins_all_copies_at_once() {
-        // Each copy's peak is transient (charged then released): a joint
-        // Scoped fold must report live + the SUM of all copy peaks, not
-        // the running max that per-copy folds used to produce.
-        use crate::meter::MeterFold;
-        let sys = SetSystem::from_elements(4, &[vec![0, 1, 2, 3], vec![0]]);
-        let d = GuessDriver::new(1.0);
-        let n_guesses = d.guesses(4, 2).len() as u64;
-        let mut rng = StdRng::seed_from_u64(1);
-        let run = d.run(
-            "t",
-            Runtime::sequential(),
-            &ExecPolicy::sequential().guess_fold(MeterFold::Scoped),
-            &sys,
-            Arrival::Adversarial,
-            &mut rng,
-            |st, me, _rng, _k| {
-                for _ in st.pass() {}
-                drop(me.guard(100)); // transient: peak 100, live 0
-                Some(vec![0])
-            },
-        );
-        assert_eq!(run.peak_bits, 100 * n_guesses, "copy peaks must sum");
     }
 
     #[test]

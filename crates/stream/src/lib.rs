@@ -9,7 +9,7 @@
 //!   re-exported from `streamcover-core`) that every fan-out submits
 //!   to, and the [`runtime::ExecPolicy`] builder
 //!   holding *all* execution configuration (`workers`, `guess_workers`,
-//!   shard plan, representation policy, accounting, meter folds, seed).
+//!   accounting, seed).
 //!   Algorithms take both through `run_in`; the legacy `run` delegates to
 //!   the lazily-initialized sequential runtime.
 //! * [`stream::SetStream`] — multi-pass set streams with enforced pass
@@ -22,14 +22,15 @@
 //!   reproduce the insertion-only model byte-identically.
 //! * [`meter::SpaceMeter`] — bit-exact working-memory accounting (the
 //!   paper's cost model), with RAII [`meter::ChargeGuard`]s so early
-//!   returns can never leak live bits, and explicit [`meter::MeterFold`]
-//!   semantics for folding finished workers in (scoped max vs concurrent
-//!   sum — selected by the policy, not per call site).
+//!   returns can never leak live bits. Finished workers fold in one of
+//!   two ways, fixed by what they model: a pass's transient workers join
+//!   (`absorb_join`, scopes max) and coexisting guess copies add
+//!   (`absorb_parallel`).
 //! * [`parallel::ParallelPass`] — pooled fan-out of one pass: the
 //!   candidate filter runs one work item per zero-copy arena shard and the
 //!   refine merge block-partitions the residual by universe word ranges
 //!   (waves are stolen work items, not fresh spawns); workers own private
-//!   meters folded under the policy's pass fold, and the deterministic
+//!   meters joined into the caller's, and the deterministic
 //!   merge guarantees picks identical to the sequential pass for every
 //!   fan-out width and pool size.
 //! * [`guessing::GuessDriver`] — the o͂pt-guess grid (clipped to
@@ -141,10 +142,10 @@ pub use algo::{
 };
 pub use guessing::GuessDriver;
 pub use maxcov::{ElementSampling, McOracle, SahaGetoorSwap, SieveStream};
-pub use meter::{Accounting, ChargeGuard, MeterFold, SpaceMeter};
+pub use meter::{Accounting, ChargeGuard, SpaceMeter};
 pub use parallel::ParallelPass;
 pub use report::{CoverRun, MaxCoverRun, MaxCoverStreamer, SetCoverStreamer};
-pub use runtime::{default_workers, DistBackend, DistPlan, ExecPolicy, Runtime};
+pub use runtime::{default_workers, DistBackend, ExecPolicy, Runtime};
 pub use service::{
     Answer, CompactionPolicy, CoverAnswer, CoverService, Mutation, Query, Request, Response,
     ServiceStats, StreamAnswer,

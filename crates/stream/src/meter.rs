@@ -65,30 +65,6 @@ impl Accounting {
     }
 }
 
-/// How a fan-out's finished worker meters fold into the owning meter — the
-/// choice that used to be implicit per call site (`absorb_join` here,
-/// `absorb_parallel` there) and is now selected explicitly by
-/// [`crate::runtime::ExecPolicy`]'s `pass_fold`/`guess_fold` fields and
-/// dispatched through [`SpaceMeter::absorb`].
-///
-/// The two modes answer one question differently: *did the workers' state
-/// coexist with the owner's for the owner's whole lifetime, or only within
-/// the scope that just finished?*
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum MeterFold {
-    /// Workers ran side by side **within the scope that just ended** (one
-    /// pass's fan-out): the high-water mark is
-    /// `max(peak, live + Σ worker peaks)`, so successive scopes *max*
-    /// rather than sum — transients of pass 3 do not stack on transients
-    /// of pass 1 that are long gone. This is [`SpaceMeter::absorb_join`].
-    #[default]
-    Scoped,
-    /// The folded meters belong to copies that **coexist for the owner's
-    /// whole lifetime** (the o͂pt-guess grid's side-by-side copies): peaks
-    /// and live totals *add*. This is [`SpaceMeter::absorb_parallel`].
-    Concurrent,
-}
-
 /// A live/peak bit counter.
 ///
 /// Counters live in `Cell`s so charging needs only a shared reference —
@@ -169,21 +145,6 @@ impl SpaceMeter {
         }
         self.peak.set(self.peak.get().max(self.live.get() + peaks));
         self.live.set(self.live.get() + lives);
-    }
-
-    /// Folds finished worker meters in under an explicit [`MeterFold`] mode
-    /// — the dispatch point the execution policy routes through, so the
-    /// join-vs-parallel choice is a configured property of the run rather
-    /// than an implicit per-call-site convention.
-    pub fn absorb<'a>(&self, fold: MeterFold, workers: impl IntoIterator<Item = &'a SpaceMeter>) {
-        match fold {
-            MeterFold::Scoped => self.absorb_join(workers),
-            MeterFold::Concurrent => {
-                for w in workers {
-                    self.absorb_parallel(w);
-                }
-            }
-        }
     }
 }
 
@@ -330,10 +291,11 @@ mod tests {
 
     #[test]
     fn fold_modes_pin_their_peak_semantics() {
-        // Identical worker histories, folded under each mode: Scoped maxes
-        // successive scopes against live state; Concurrent sums peaks
-        // unconditionally. This pins the asymmetry the ExecPolicy selects
-        // between — if either arm's arithmetic drifts, this fails first.
+        // Identical worker histories, folded both ways: a join (a pass's
+        // workers) maxes successive scopes against live state; a parallel
+        // fold (coexisting guess copies) sums peaks unconditionally. This
+        // pins the asymmetry between the two call sites — if either arm's
+        // arithmetic drifts, this fails first.
         let history = || {
             let w = SpaceMeter::new();
             w.charge(40);
@@ -348,12 +310,12 @@ mod tests {
         let scoped = SpaceMeter::new();
         scoped.charge(100);
         let (w, v) = history();
-        scoped.absorb(MeterFold::Scoped, [&w, &v]);
+        scoped.absorb_join([&w, &v]);
         assert_eq!(scoped.peak_bits(), 100 + 40 + 25);
         assert_eq!(scoped.live_bits(), 100 + 25, "worker live bits transfer");
         scoped.release(25); // scope 1's retained state dropped
         let (w, v) = history();
-        scoped.absorb(MeterFold::Scoped, [&w, &v]);
+        scoped.absorb_join([&w, &v]);
         assert_eq!(scoped.peak_bits(), 165, "scopes max, they do not sum");
 
         // Concurrent: the same two rounds coexist for the whole run —
@@ -361,12 +323,14 @@ mod tests {
         let conc = SpaceMeter::new();
         conc.charge(100);
         let (w, v) = history();
-        conc.absorb(MeterFold::Concurrent, [&w, &v]);
+        conc.absorb_parallel(&w);
+        conc.absorb_parallel(&v);
         assert_eq!(conc.peak_bits(), 100 + 40 + 25);
         assert_eq!(conc.live_bits(), 100 + 25);
         conc.release(25);
         let (w, v) = history();
-        conc.absorb(MeterFold::Concurrent, [&w, &v]);
+        conc.absorb_parallel(&w);
+        conc.absorb_parallel(&v);
         assert_eq!(conc.peak_bits(), 165 + 65, "concurrent copies sum");
     }
 

@@ -6,9 +6,8 @@
 //! dependencies; the pool is `std` only). Each worker reads sets through
 //! the `Copy` view `SetRef` — borrowed data, no cloning — and owns a
 //! **private [`SpaceMeter`]**; the caller's meter folds the workers in
-//! under the policy's [`MeterFold`] (default [`MeterFold::Scoped`], i.e.
-//! [`SpaceMeter::absorb_join`]), which models their side-by-side residency
-//! within one pass (peak = `max(peak, live + Σ worker peaks)`).
+//! with [`SpaceMeter::absorb_join`], which models their side-by-side
+//! residency within one pass (peak = `max(peak, live + Σ worker peaks)`).
 //!
 //! Note on accounting: the engine is a *simulator* for the sequential
 //! pass — it provably reproduces the sequential picks, and the measured
@@ -57,13 +56,12 @@
 //! a true high-water mark (max over scopes), not a sum of every pass's
 //! transients.
 
-use crate::meter::{MeterFold, SpaceMeter};
+use crate::meter::SpaceMeter;
 use crate::runtime::{ExecPolicy, Runtime};
 use crate::stream::SetStream;
 use streamcover_core::shard::split_ranges;
 use streamcover_core::{
-    ceil_log2, BatchedSweep, BitSet, ReprPolicy, SetId, SetRef, SetStore, SetSystem, ShardedStore,
-    StoreShard,
+    ceil_log2, BatchedSweep, BitSet, ReprPolicy, SetId, SetRef, SetSystem, StoreShard,
 };
 
 /// A pass-execution engine dispatching a policy's fan-out onto a
@@ -72,31 +70,22 @@ use streamcover_core::{
 pub struct ParallelPass<'rt> {
     rt: &'rt Runtime,
     workers: usize,
-    filter_parts: usize,
-    refine_blocks: usize,
-    repr: ReprPolicy,
-    fold: MeterFold,
 }
 
 impl<'rt> ParallelPass<'rt> {
-    /// An engine with the given fan-out width (clamped to ≥ 1) and the
-    /// sequential policy's storage/accounting defaults, executing on `rt`.
+    /// An engine with the given fan-out width (clamped to ≥ 1), executing
+    /// on `rt`.
     pub fn new(rt: &'rt Runtime, workers: usize) -> Self {
-        Self::from_policy(rt, &ExecPolicy::sequential().workers(workers))
-    }
-
-    /// The engine a policy configures: fan-out widths, representation
-    /// policy for stored systems, and the worker-meter fold mode all come
-    /// from `policy`; the threads come from `rt`.
-    pub fn from_policy(rt: &'rt Runtime, policy: &ExecPolicy) -> Self {
         ParallelPass {
             rt,
-            workers: policy.workers.max(1),
-            filter_parts: policy.filter_parts(),
-            refine_blocks: policy.refine_blocks(),
-            repr: policy.repr_policy,
-            fold: policy.pass_fold,
+            workers: workers.max(1),
         }
+    }
+
+    /// The engine a policy configures: the fan-out width comes from
+    /// `policy`, the threads from `rt`.
+    pub fn from_policy(rt: &'rt Runtime, policy: &ExecPolicy) -> Self {
+        Self::new(rt, policy.workers)
     }
 
     /// The configured fan-out width.
@@ -152,7 +141,7 @@ impl<'rt> ParallelPass<'rt> {
         // The worker meters stay empty here (candidates are simulator
         // state, see above); they exist so every pass folds workers
         // uniformly.
-        let shards = sys.shards(self.filter_parts);
+        let shards = sys.shards(self.workers);
         let filter = |shard: &StoreShard<'_>| -> (Vec<SetId>, SpaceMeter) {
             let mut sweep = BatchedSweep::new();
             let start = shard.ids().start;
@@ -166,7 +155,7 @@ impl<'rt> ParallelPass<'rt> {
             (cands, SpaceMeter::new())
         };
         let sharded: Vec<(Vec<SetId>, SpaceMeter)> = self.rt.map_parts(&shards, filter);
-        meter.absorb(self.fold, sharded.iter().map(|(_, w)| w));
+        meter.absorb_join(sharded.iter().map(|(_, w)| w));
 
         // Candidates come back in set-id order per shard; the refine phase
         // must meet them in *arrival* order, like the sequential pass.
@@ -229,15 +218,14 @@ impl<'rt> ParallelPass<'rt> {
     /// residual (universe blocks, via `split_ranges` so no window is ever
     /// inverted or out of range). Identical to the per-set
     /// `intersection_len` by construction — the blocks partition the word
-    /// slab — and computed inline when a single refine block (the
-    /// `ExecPolicy::refine_blocks` derivation), or a wave too small to
-    /// amortize a dispatch, makes a fan-out pointless.
+    /// slab — and computed inline when a single worker, or a wave too small
+    /// to amortize a dispatch, makes a fan-out pointless.
     fn block_gains(&self, sys: &SetSystem, ids: &[SetId], residual: &BitSet) -> Vec<usize> {
         // Below this candidate×word product the whole wave is cheaper than
         // one thread spawn (~µs vs ~ns/word of popcount work).
         const MIN_BLOCK_WORK: usize = 1 << 15;
         let words = residual.words();
-        let parts = self.refine_blocks.min(words.len()).max(1);
+        let parts = self.workers.min(words.len()).max(1);
         if parts == 1 || ids.len().saturating_mul(words.len()) < MIN_BLOCK_WORK {
             return ids
                 .iter()
@@ -285,7 +273,7 @@ impl<'rt> ParallelPass<'rt> {
 
         let store_chunk = |ids: &[SetId]| -> (Vec<SetId>, SetSystem, SpaceMeter) {
             let worker_meter = SpaceMeter::new();
-            let mut stored = SetSystem::with_policy(n, self.repr);
+            let mut stored = SetSystem::new(n);
             for &i in ids {
                 match domain {
                     None => {
@@ -307,26 +295,23 @@ impl<'rt> ParallelPass<'rt> {
         // meters whose bits transfer to the caller — callers adopt this
         // figure instead of re-deriving it.
         let charged: u64 = chunked.iter().map(|(_, _, w)| w.live_bits()).sum();
-        meter.absorb(self.fold, chunked.iter().map(|(_, _, w)| w));
+        meter.absorb_join(chunked.iter().map(|(_, _, w)| w));
         // Single chunk (workers=1, or a short order): the worker's system
         // already *is* the merged result — move it out instead of copying.
         if chunked.len() == 1 {
             let (ids, stored, _) = chunked.into_iter().next().expect("one chunk");
             return (ids, stored, charged);
         }
-        // Multi-chunk merge through the sharded-store seam: each worker's
-        // arena becomes one `BySetRange` shard (chunks follow arrival
-        // order, so the shard concatenation *is* the arrival order), and
-        // `from_shards` reassembles the flat system with representations
+        // Multi-chunk merge: chunks follow arrival order, so concatenating
+        // the worker arenas *is* the arrival order, representations
         // preserved verbatim.
-        let mut arrival_ids: Vec<SetId> = Vec::with_capacity(order.len());
-        let mut stores: Vec<SetStore> = Vec::with_capacity(chunked.len());
-        for (ids, stored, _) in chunked {
-            arrival_ids.extend_from_slice(&ids);
-            stores.push(stored.into_store());
-        }
-        let sharded = ShardedStore::from_shard_stores(n, self.repr, stores);
-        (arrival_ids, SetSystem::from_shards(&sharded), charged)
+        let arrival_ids: Vec<SetId> = chunked
+            .iter()
+            .flat_map(|(ids, _, _)| ids.iter().copied())
+            .collect();
+        let stores = chunked.iter().map(|(_, s, _)| s.store());
+        let stored = SetSystem::from_shard_stores(n, ReprPolicy::Auto, stores);
+        (arrival_ids, stored, charged)
     }
 
     /// Fans `work` out over contiguous chunks of `order` as runtime work
@@ -517,31 +502,6 @@ mod tests {
             );
             assert_eq!(picks, expect_picks, "workers={workers}");
             assert_eq!(residual, expect_residual);
-        }
-        // Partition overrides reshape where work is split, never the picks:
-        // a widened filter (BySetRange) and a widened refine partition
-        // (ByUniverseBlocks) both reproduce the sequential pass.
-        use streamcover_core::ShardPlan;
-        for plan in [
-            ShardPlan::BySetRange { shards: 3 },
-            ShardPlan::ByUniverseBlocks { blocks: 5 },
-        ] {
-            let policy = crate::runtime::ExecPolicy::sequential()
-                .workers(4)
-                .shard_plan(plan);
-            let mut stream = SetStream::new(&w.system, Arrival::Adversarial);
-            let mut residual = BitSet::full(576);
-            let meter = SpaceMeter::new();
-            let mut picks = Vec::new();
-            ParallelPass::from_policy(&rt, &policy).threshold_pass(
-                &mut stream,
-                &mut residual,
-                1,
-                &meter,
-                |i, _| picks.push(i),
-            );
-            assert_eq!(picks, expect_picks, "plan={plan:?}");
-            assert_eq!(residual, expect_residual, "plan={plan:?}");
         }
     }
 

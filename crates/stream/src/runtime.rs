@@ -15,8 +15,11 @@
 //!   memory-ordering argument) — and
 //! * the [`ExecPolicy`] builder holds *all* execution configuration:
 //!   per-pass fan-out (`workers`), guess-grid fan-out (`guess_workers`),
-//!   shard plan, representation policy, space accounting, meter-fold
-//!   semantics, and an optional run seed.
+//!   space accounting, and an optional run seed. Systems a run builds
+//!   (stored copies, projections) always use the `Auto` cutover.
+//!   How worker meters fold is not a knob: it is fixed by what the workers
+//!   model (a pass's workers are transient, guess copies coexist; see
+//!   [`crate::meter::SpaceMeter::absorb_join`]).
 //!
 //! Algorithms take both through
 //! [`SetCoverStreamer::run_in`](crate::report::SetCoverStreamer::run_in) /
@@ -32,10 +35,9 @@
 //! the next one bit-identical results (gated by
 //! `tests/parallel_invariance.rs` and the `substrate_bench` runtime arm).
 
-use crate::meter::{Accounting, MeterFold};
+use crate::meter::Accounting;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use streamcover_core::{ReprPolicy, ShardPlan};
 
 pub use streamcover_core::runtime::{default_workers, Runtime};
 
@@ -53,37 +55,6 @@ pub enum DistBackend {
     /// Unix-domain socket pairs: frames cross a real kernel byte stream
     /// (owners may be threads or spawned processes).
     Socket,
-}
-
-/// The distribution seam on [`ExecPolicy`]: how many shard owners a
-/// distributed cover run fans out to and which [`DistBackend`] carries the
-/// frames. Plain configuration data — the driver that consumes it lives in
-/// `streamcover-comm::cluster` (the comm crate sits above this one, so the
-/// transcript-metered executor cannot live here without a cycle).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct DistPlan {
-    /// Number of shard owners (clamped to ≥ 1 by the builder).
-    pub owners: usize,
-    /// Message fabric between the coordinator and the owners.
-    pub backend: DistBackend,
-}
-
-impl DistPlan {
-    /// A plan with `owners` owners on the in-process channel fabric.
-    pub fn in_process(owners: usize) -> Self {
-        DistPlan {
-            owners: owners.max(1),
-            backend: DistBackend::InProcess,
-        }
-    }
-
-    /// A plan with `owners` owners on the Unix-domain socket fabric.
-    pub fn socket(owners: usize) -> Self {
-        DistPlan {
-            owners: owners.max(1),
-            backend: DistBackend::Socket,
-        }
-    }
 }
 
 /// Everything that configures *how* a streaming run executes, none of it
@@ -114,59 +85,26 @@ pub struct ExecPolicy {
     /// split into). Composes with `workers`: each guess copy's passes fan
     /// out again on the same runtime.
     pub guess_workers: usize,
-    /// Partition override for the pass engine's two fan-out shapes:
-    /// `BySetRange { shards }` overrides the candidate *filter*'s
-    /// set-range fan-out ([`filter_parts`](Self::filter_parts)),
-    /// `ByUniverseBlocks { blocks }` overrides the *refine* waves'
-    /// universe-block partition ([`refine_blocks`](Self::refine_blocks)).
-    /// `None` derives both from `workers`. Either way the reported
-    /// solution/passes/peaks are unchanged — the plan only reshapes where
-    /// work is split.
-    pub shard_plan: Option<ShardPlan>,
-    /// Representation policy for systems the run *builds* (stored copies,
-    /// projections): the hybrid `Auto` cutover by default.
-    pub repr_policy: ReprPolicy,
     /// How retained sets are charged to the meter (actual representation
     /// vs the always-a-member-list convention).
     pub accounting: Accounting,
-    /// How a finished pass's worker meters fold into the run meter.
-    /// [`MeterFold::Scoped`] (the default) models workers transient within
-    /// the pass: successive passes max, they do not sum.
-    pub pass_fold: MeterFold,
-    /// How the guess grid's per-copy meters fold into the driver meter.
-    /// [`MeterFold::Concurrent`] (the default) models copies that coexist
-    /// for the whole run: peaks add.
-    pub guess_fold: MeterFold,
     /// When set, the run draws its randomness from a private
     /// `StdRng::seed_from_u64(seed)` instead of the caller's rng (which is
     /// then left untouched) — reproducible runs detached from caller rng
     /// state.
     pub seed: Option<u64>,
-    /// When set, cover computations may be executed by the distributed
-    /// shard-owner driver (`streamcover-comm::cluster::DistCover::from_policy`
-    /// reads this seam): `owners` message-passing shard owners over the
-    /// plan's [`DistBackend`]. `None` (the default) keeps everything in one
-    /// address space. Like every other knob here, the plan changes how the
-    /// run executes, never what it computes.
-    pub dist: Option<DistPlan>,
 }
 
 impl ExecPolicy {
-    /// The sequential policy: every fan-out width 1, `Auto` representation,
-    /// actual-representation accounting, scoped pass folds, concurrent
-    /// guess folds, caller-provided randomness. This is exactly what the
+    /// The sequential policy: every fan-out width 1, actual-representation
+    /// accounting, caller-provided randomness. This is exactly what the
     /// legacy `run` entry points execute under.
     pub fn sequential() -> Self {
         ExecPolicy {
             workers: 1,
             guess_workers: 1,
-            shard_plan: None,
-            repr_policy: ReprPolicy::Auto,
             accounting: Accounting::ActualRepr,
-            pass_fold: MeterFold::Scoped,
-            guess_fold: MeterFold::Concurrent,
             seed: None,
-            dist: None,
         }
     }
 
@@ -182,34 +120,9 @@ impl ExecPolicy {
         self
     }
 
-    /// Sets the engine partition override (filter fan-out for
-    /// `BySetRange`, refine-wave block partition for `ByUniverseBlocks`).
-    pub fn shard_plan(mut self, plan: ShardPlan) -> Self {
-        self.shard_plan = Some(plan);
-        self
-    }
-
-    /// Sets the representation policy for systems the run builds.
-    pub fn repr_policy(mut self, policy: ReprPolicy) -> Self {
-        self.repr_policy = policy;
-        self
-    }
-
     /// Sets the space-accounting convention for retained sets.
     pub fn accounting(mut self, accounting: Accounting) -> Self {
         self.accounting = accounting;
-        self
-    }
-
-    /// Sets how pass-worker meters fold into the run meter.
-    pub fn pass_fold(mut self, fold: MeterFold) -> Self {
-        self.pass_fold = fold;
-        self
-    }
-
-    /// Sets how guess-copy meters fold into the driver meter.
-    pub fn guess_fold(mut self, fold: MeterFold) -> Self {
-        self.guess_fold = fold;
         self
     }
 
@@ -217,36 +130,6 @@ impl ExecPolicy {
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = Some(seed);
         self
-    }
-
-    /// Routes cover computations through the distributed shard-owner driver
-    /// under `plan` (owner count clamped to ≥ 1).
-    pub fn dist(mut self, plan: DistPlan) -> Self {
-        self.dist = Some(DistPlan {
-            owners: plan.owners.max(1),
-            ..plan
-        });
-        self
-    }
-
-    /// The set-range fan-out width for the candidate filter / sharded heap
-    /// seeding: an explicit `BySetRange` plan overrides, otherwise
-    /// [`workers`](Self::workers).
-    pub fn filter_parts(&self) -> usize {
-        match self.shard_plan {
-            Some(ShardPlan::BySetRange { shards }) => shards.max(1),
-            _ => self.workers.max(1),
-        }
-    }
-
-    /// The universe-block partition width for the refine waves: an
-    /// explicit `ByUniverseBlocks` plan overrides, otherwise
-    /// [`workers`](Self::workers).
-    pub fn refine_blocks(&self) -> usize {
-        match self.shard_plan {
-            Some(ShardPlan::ByUniverseBlocks { blocks }) => blocks.max(1),
-            _ => self.workers.max(1),
-        }
     }
 
     /// The rng this run should consume: the caller's, unless the policy
@@ -280,28 +163,8 @@ mod tests {
         assert_eq!(p, ExecPolicy::sequential());
         assert_eq!(p.workers, 1);
         assert_eq!(p.guess_workers, 1);
-        assert_eq!(p.filter_parts(), 1);
-        assert_eq!(p.refine_blocks(), 1);
         assert_eq!(p.accounting, Accounting::ActualRepr);
-        assert_eq!(p.pass_fold, MeterFold::Scoped);
-        assert_eq!(p.guess_fold, MeterFold::Concurrent);
         assert_eq!(p.seed, None);
-    }
-
-    #[test]
-    fn dist_plan_builder_clamps_owners() {
-        assert_eq!(ExecPolicy::default().dist, None);
-        let p = ExecPolicy::sequential().dist(DistPlan::in_process(0));
-        assert_eq!(
-            p.dist,
-            Some(DistPlan {
-                owners: 1,
-                backend: DistBackend::InProcess
-            })
-        );
-        let p = ExecPolicy::sequential().dist(DistPlan::socket(4));
-        assert_eq!(p.dist, Some(DistPlan::socket(4)));
-        assert_eq!(DistPlan::socket(4).backend, DistBackend::Socket);
     }
 
     #[test]
@@ -315,20 +178,6 @@ mod tests {
         assert_eq!(p.guess_workers, 8);
         assert_eq!(p.accounting, Accounting::AlwaysSparse);
         assert_eq!(p.seed, Some(7));
-    }
-
-    #[test]
-    fn shard_plan_overrides_engine_partitions() {
-        let p = ExecPolicy::sequential()
-            .workers(4)
-            .shard_plan(ShardPlan::BySetRange { shards: 16 });
-        assert_eq!(p.filter_parts(), 16, "set-range plan widens the filter");
-        assert_eq!(p.refine_blocks(), 4, "refine stays on workers");
-        let p = ExecPolicy::sequential()
-            .workers(4)
-            .shard_plan(ShardPlan::ByUniverseBlocks { blocks: 8 });
-        assert_eq!(p.filter_parts(), 4, "filter stays on workers");
-        assert_eq!(p.refine_blocks(), 8, "block plan widens the refine");
     }
 
     #[test]

@@ -415,8 +415,8 @@ impl CoverService {
     }
 
     /// A service over `system` executing on `rt` under `policy` — the
-    /// policy's [`filter_parts`](ExecPolicy::filter_parts) sizes the heap
-    /// seeding fan-out and its seedless fields configure streaming runs.
+    /// policy's [`workers`](ExecPolicy::workers) sizes the heap seeding
+    /// fan-out and its seedless fields configure streaming runs.
     /// Answers are identical for every runtime size and policy fan-out
     /// (the engine's determinism contract).
     pub fn with(system: SetSystem, rt: &'static Runtime, policy: ExecPolicy) -> CoverService {
@@ -500,13 +500,8 @@ impl CoverService {
         let key = QueryKey::Cover(canon.clone());
         let answer = self.serve_cached(key, |sys, epoch| {
             let tb = BitSet::from_iter(sys.universe(), canon.iter().map(|&e| e as usize));
-            let r = greedy_cover_until_sharded_in(
-                self.rt,
-                sys,
-                self.policy.filter_parts(),
-                usize::MAX,
-                &tb,
-            );
+            let r =
+                greedy_cover_until_sharded_in(self.rt, sys, self.policy.workers, usize::MAX, &tb);
             Answer::Cover(CoverAnswer {
                 epoch,
                 covered: r.coverage(),
@@ -540,12 +535,7 @@ impl CoverService {
                 .as_ref()
                 .is_some_and(|c| c.exhausted || c.picks.len() >= k);
         if stale {
-            *slot = Some(Chain::seed(
-                self.rt,
-                &sys,
-                self.policy.filter_parts(),
-                epoch,
-            ));
+            *slot = Some(Chain::seed(self.rt, &sys, self.policy.workers, epoch));
         }
         let chain = slot.as_mut().expect("chain just seeded");
         chain.extend_to(&sys, k);

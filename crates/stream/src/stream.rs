@@ -23,9 +23,7 @@ use std::collections::VecDeque;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use streamcover_core::{
-    CompactionMap, ReprPolicy, SetId, SetRef, SetStore, SetSystem, ShardedStore,
-};
+use streamcover_core::{CompactionMap, ReprPolicy, SetId, SetRef, SetStore, SetSystem};
 
 /// Arrival order of a stream.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -221,8 +219,7 @@ enum Mode {
 ///   [`system`](Self::system) reproduce the insertion-only model exactly
 ///   (the standing invariant `tests/turnstile_compaction.rs` pins).
 /// * **Windowed** ([`windowed`](Self::windowed)): only the last `w`
-///   arrivals are live. Arrivals append to per-bucket arenas
-///   ([`streamcover_core::ShardedStore`]-compatible shard stores) of
+///   arrivals are live. Arrivals append to per-bucket arenas of
 ///   `⌈w/8⌉` slots each; when every arrival of the head bucket has left
 ///   the window the *whole bucket* is dropped — O(1) arena reclamation —
 ///   while a partially expired head tombstones its dead slots, which stay
@@ -438,23 +435,17 @@ impl TurnstileStream {
     /// Materializes the retained slots as a flat [`SetSystem`] whose id
     /// `j` is arrival `base_id() + j` — expired-in-place and deleted slots
     /// read as empty sets, exactly as a tombstone does. In windowed mode
-    /// the bucket arenas are assembled through a
-    /// [`ShardedStore`] set-range concatenation, so representations are
-    /// preserved verbatim.
+    /// the bucket arenas are concatenated through
+    /// [`SetSystem::from_shard_stores`], so representations are preserved
+    /// verbatim.
     pub fn snapshot(&self) -> SetSystem {
         match &self.mode {
             Mode::Unbounded { sys } => sys.clone(),
-            Mode::Windowed { buckets, .. } => {
-                if buckets.is_empty() {
-                    return SetSystem::with_policy(self.universe, self.policy);
-                }
-                let stores: Vec<SetStore> = buckets.iter().map(|b| b.store.clone()).collect();
-                SetSystem::from_shards(&ShardedStore::from_shard_stores(
-                    self.universe,
-                    self.policy,
-                    stores,
-                ))
-            }
+            Mode::Windowed { buckets, .. } => SetSystem::from_shard_stores(
+                self.universe,
+                self.policy,
+                buckets.iter().map(|b| &b.store),
+            ),
         }
     }
 

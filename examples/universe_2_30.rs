@@ -148,14 +148,11 @@ fn main() {
     );
 
     // --- Streaming invariant: sequential vs parallel per forcing. ---
-    let sys = build(DEMO_N, ReprPolicy::Auto, &catalog);
     let rt = Runtime::default();
+    let seq = ExecPolicy::sequential().seed(17);
+    let par = ExecPolicy::sequential().workers(4).seed(17);
     for policy in policies {
-        let seq = ExecPolicy::sequential().repr_policy(policy).seed(17);
-        let par = ExecPolicy::sequential()
-            .repr_policy(policy)
-            .workers(4)
-            .seed(17);
+        let sys = build(DEMO_N, policy, &catalog);
         let mut r1 = StdRng::seed_from_u64(99);
         let mut r2 = StdRng::seed_from_u64(99);
         let a = ThresholdGreedy.run_in(&rt, &seq, &sys, Arrival::Adversarial, &mut r1);

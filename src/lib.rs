@@ -57,7 +57,7 @@ pub mod prelude {
     pub use streamcover_core::{
         exact_max_coverage, exact_set_cover, greedy_cover_until, greedy_max_coverage,
         greedy_set_cover, BatchedSweep, BitSet, CelfHeap, CompactionMap, CoverError, ExactCover,
-        KernelTier, ReprPolicy, SetId, SetRepr, SetSystem, ShardPlan, ShardedStore, StoreShard,
+        KernelTier, ReprPolicy, SetId, SetRepr, SetSystem, StoreShard,
     };
     pub use streamcover_dist::{
         blog_watch, planted_cover, podcast_catalog, sample_dmc, sample_dsc, stress_cover,
@@ -67,12 +67,12 @@ pub mod prelude {
     pub use streamcover_info::{
         dsc_lower_bound_bits, estimate_disj_icost, mutual_information, Empirical,
     };
+    pub use streamcover_stream::DistBackend;
     pub use streamcover_stream::{
         Accounting, Answer, Arrival, CompactionPolicy, CoverAnswer, CoverRun, CoverService,
         ElementSampling, ExecPolicy, GuessDriver, HarPeledAssadi, MaxCoverRun, MaxCoverStreamer,
-        MeterFold, Mutation, OnlinePrune, ParallelPass, Query, Request, Response, Runtime,
-        SahaGetoorSwap, ServiceStats, SetCoverStreamer, SetStream, SieveStream, SpaceMeter,
-        StoreAll, StreamAnswer, ThresholdGreedy, TurnstileStream, Update,
+        Mutation, OnlinePrune, ParallelPass, Query, Request, Response, Runtime, SahaGetoorSwap,
+        ServiceStats, SetCoverStreamer, SetStream, SieveStream, SpaceMeter, StoreAll, StreamAnswer,
+        ThresholdGreedy, TurnstileStream, Update,
     };
-    pub use streamcover_stream::{DistBackend, DistPlan};
 }
