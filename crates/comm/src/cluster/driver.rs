@@ -56,6 +56,20 @@ impl DistCoverRun {
         self.transcript.total_bits()
     }
 
+    /// The protocol cost this run must have measured, predicted from the
+    /// wire frame sizes, the owner count, the rounds, the picks and the
+    /// coverage alone. [`total_bits`](Self::total_bits) equals it exactly
+    /// for every completed run; any extra, missing or resized frame breaks
+    /// the equality.
+    pub fn predicted_bits(&self) -> u64 {
+        super::protocol::protocol_bits(
+            self.owners,
+            self.rounds,
+            self.result.size(),
+            self.result.coverage(),
+        )
+    }
+
     /// Protocol bytes per pick (0 when nothing was picked).
     pub fn bytes_per_pick(&self) -> u64 {
         match self.result.ids.len() {

@@ -5,9 +5,12 @@
 //! whole private arena for a process owner — plus its own copy of the
 //! residual. A round is:
 //!
-//! 1. **report** — every owner sweeps its shard against its residual and
-//!    sends its local CELF best (largest gain, smallest global id) as a
-//!    `GainReport`; owners with no positive gain report `gain = 0`.
+//! 1. **report** — every owner peeks its shard's [`CelfHeap`] against its
+//!    residual and sends the local best (largest gain, smallest global
+//!    id) as a `GainReport`; owners with no positive gain report
+//!    `gain = 0`. The heap is seeded by one sweep of the shard when the
+//!    owner starts; a peek re-evaluates only tops whose bounds went stale,
+//!    and the candidate leaves the heap only when it wins the round.
 //! 2. **argmax** — the coordinator takes the global best over the reports
 //!    with the sequential selection rule (largest gain, deterministic
 //!    tie-break by smallest set id). No positive gain anywhere → `Finish`.
@@ -19,19 +22,24 @@
 //!    `Advance` to every owner (delta elided for the winner, who already
 //!    applied it) with a continue/stop flag.
 //!
-//! Because every owner evaluates true gains against the *same* residual the
-//! sequential reference maintains, and the argmax applies the same rule as
+//! Because every owner's report is the exact local argmax against the
+//! *same* residual the sequential reference maintains, and the argmax
+//! applies the same rule as
 //! [`streamcover_core::greedy_cover_until`], the pick sequence — and hence
 //! the returned [`CoverResult`] — is byte-identical to the sequential run
 //! at every owner count, transport, and representation policy. Per-round
 //! bytes scale with the coverage change `|Δ|` (the `Delta` and its
-//! rebroadcast), not with the universe size.
+//! rebroadcast), not with the universe size. Local work per owner is one
+//! shard sweep per cover plus the lazy re-evaluations of each round.
 
 use super::transport::{ClusterError, Transport};
-use super::wire::{encode_frame, Frame};
+use super::wire::{
+    advance_bytes, delta_bytes, encode_frame, Frame, FINISH_BYTES, GAIN_REPORT_BYTES,
+    PICK_REQUEST_BYTES,
+};
 use crate::transcript::{Player, Transcript};
 use std::cmp::Reverse;
-use streamcover_core::{BatchedSweep, BitSet, CoverResult, StoreShard};
+use streamcover_core::{BitSet, CelfHeap, CoverResult, StoreShard};
 
 /// Sends `frame` on `link`, recording its exact bytes into `tr` as a
 /// coordinator (Alice) message.
@@ -53,6 +61,26 @@ fn log_recv(link: &mut dyn Transport, tr: &mut Transcript) -> Result<Frame, Clus
     let frame = super::wire::decode_frame(&bytes)?;
     tr.send(Player::Bob, bytes, None);
     Ok(frame)
+}
+
+/// The exact protocol cost, in bits, of a run over `owners` owners that
+/// took `rounds` report rounds to make `picks` picks newly covering
+/// `covered` elements in total — predicted from the wire frame sizes
+/// alone:
+///
+/// * every round, one `GainReport` per owner;
+/// * every pick, a `PickRequest`, the winner's `Delta`, an empty
+///   `Advance` back to the winner and an `Advance` carrying the delta to
+///   each other owner — so each newly covered element crosses the wire
+///   once per owner;
+/// * a round that ends the run without a pick sends one `Finish` per
+///   owner.
+pub(crate) fn protocol_bits(owners: usize, rounds: usize, picks: usize, covered: usize) -> u64 {
+    let reports = rounds * owners * GAIN_REPORT_BYTES;
+    let per_pick = PICK_REQUEST_BYTES + delta_bytes(0) + owners * advance_bytes(0);
+    let elems = owners * (delta_bytes(covered) - delta_bytes(0));
+    let finishes = rounds.saturating_sub(picks) * owners * FINISH_BYTES;
+    8 * (reports + picks * per_pick + elems + finishes) as u64
 }
 
 /// Drives the coordinator side over one transport link per owner; every
@@ -157,6 +185,14 @@ pub fn run_coordinator(
 /// range, whose sets carry global ids `id_base..`, `target` the cover
 /// target (the owner maintains its own residual copy).
 ///
+/// The owner sweeps its shard **once**, seeding a [`CelfHeap`] over its
+/// local ids. Each round it peeks the heap ([`CelfHeap::shard_best`]),
+/// which re-evaluates only stale tops against the current residual, and
+/// reports that exact local argmax; it pops the candidate only when the
+/// coordinator picks it. Local work per cover is therefore one shard
+/// sweep plus the heap's lazy re-evaluations, instead of one sweep per
+/// round.
+///
 /// `fault_at`, when set, aborts the owner *before* it sends the report of
 /// that protocol round — the hook the fault-injection tests (and the
 /// spawned owner binary's `STREAMCOVER_OWNER_FAULT_ROUND` knob) use to
@@ -170,7 +206,7 @@ pub fn run_owner<T: Transport + ?Sized>(
     fault_at: Option<u32>,
 ) -> Result<(), ClusterError> {
     let mut uncovered = target.clone();
-    let mut sweep = BatchedSweep::new();
+    let mut heap = CelfHeap::seed_shard(shard, target);
     let mut round: u32 = 0;
     loop {
         if fault_at == Some(round) {
@@ -178,8 +214,8 @@ pub fn run_owner<T: Transport + ?Sized>(
                 "owner {owner}: injected fault at round {round}"
             )));
         }
-        shard.gains(&mut sweep, &uncovered);
-        let report = match sweep.best() {
+        let reported = heap.shard_best(shard, &uncovered);
+        let report = match reported {
             Some((local, gain)) => Frame::GainReport {
                 owner,
                 round,
@@ -212,6 +248,12 @@ pub fn run_owner<T: Transport + ?Sized>(
                     .ok_or_else(|| {
                         ClusterError::Protocol(format!("pick {id} outside owner {owner}'s shard"))
                     })?;
+                // Commit the reported candidate. Any other requested set
+                // stays in the heap; the delta below takes its gain to
+                // zero, so a later peek discards it.
+                if reported.is_some_and(|(l, _)| l == local) {
+                    heap.pop();
+                }
                 let mut delta: Vec<u32> = Vec::new();
                 for e in shard.get(local).iter() {
                     if uncovered.contains(e) {

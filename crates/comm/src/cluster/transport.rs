@@ -134,6 +134,11 @@ impl Transport for ChannelTransport {
     }
 }
 
+/// Payload bytes [`SocketTransport`] reserves before any arrive: frames up
+/// to this size land without regrowing the buffer, and a lying header
+/// cannot force a larger allocation.
+const PREALLOC_LIMIT: usize = 1 << 20;
+
 /// Length-framed frames over a byte stream (Unix-domain or TCP socket, or
 /// anything else `Read + Write`). Framing is the wire header itself: read
 /// [`HEADER_LEN`] bytes, parse the declared payload length, read the rest.
@@ -170,12 +175,22 @@ impl<S: Read + Write + Send> Transport for SocketTransport<S> {
         Ok(())
     }
 
+    /// Reads the header, then the declared payload through
+    /// [`Read::take`]: the buffer grows with the bytes that actually
+    /// arrive, so a header declaring up to 4 GiB allocates at most 1 MiB
+    /// up front. A stream that ends short of the declared length is
+    /// [`ClusterError::Closed`].
     fn recv_bytes(&mut self) -> Result<Vec<u8>, ClusterError> {
         let mut buf = vec![0u8; HEADER_LEN];
         self.stream.read_exact(&mut buf)?;
-        let total = wire::frame_len(&buf)?;
-        buf.resize(total, 0);
-        self.stream.read_exact(&mut buf[HEADER_LEN..])?;
+        let payload = wire::frame_len(&buf)? - HEADER_LEN;
+        buf.reserve(payload.min(PREALLOC_LIMIT));
+        let got = (&mut self.stream)
+            .take(payload as u64)
+            .read_to_end(&mut buf)?;
+        if got < payload {
+            return Err(ClusterError::Closed);
+        }
         Ok(buf)
     }
 }
@@ -214,6 +229,22 @@ mod tests {
         };
         a.send(&f).unwrap();
         assert_eq!(b.recv().unwrap(), f);
+    }
+
+    #[test]
+    fn oversized_header_then_eof_is_a_prompt_error() {
+        // A header declaring a ~4 GiB payload, then the peer hangs up: the
+        // read must fail without first allocating the declared size.
+        let mut header = wire::encode_frame(&Frame::Finish { round: 0 });
+        header[12..16].copy_from_slice(&u32::MAX.to_le_bytes());
+        let (a, mut b) = UnixStream::pair().unwrap();
+        b.write_all(&header).unwrap();
+        b.write_all(&[0u8; 100]).unwrap();
+        drop(b);
+        let started = std::time::Instant::now();
+        let got = SocketTransport::new(a).recv_bytes();
+        assert!(matches!(got, Err(ClusterError::Closed)), "{got:?}");
+        assert!(started.elapsed() < Duration::from_secs(1));
     }
 
     #[test]

@@ -27,6 +27,23 @@ pub const HEADER_LEN: usize = 16;
 /// The `owner` header value used by coordinator-sent frames.
 pub const COORDINATOR: u16 = u16::MAX;
 
+/// Encoded size of a `GainReport` frame.
+pub(crate) const GAIN_REPORT_BYTES: usize = HEADER_LEN + 16;
+/// Encoded size of a `PickRequest` frame.
+pub(crate) const PICK_REQUEST_BYTES: usize = HEADER_LEN + 8;
+/// Encoded size of a `Finish` frame.
+pub(crate) const FINISH_BYTES: usize = HEADER_LEN;
+
+/// Encoded size of a `Delta` frame carrying `elems` elements.
+pub(crate) const fn delta_bytes(elems: usize) -> usize {
+    HEADER_LEN + 4 + 4 * elems
+}
+
+/// Encoded size of an `Advance` frame carrying `elems` elements.
+pub(crate) const fn advance_bytes(elems: usize) -> usize {
+    HEADER_LEN + 5 + 4 * elems
+}
+
 /// Wire-level decode failures.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum WireError {
@@ -759,6 +776,38 @@ mod tests {
             let bytes = encode_frame(&f);
             assert_eq!(frame_len(&bytes).unwrap(), bytes.len());
             assert_eq!(decode_frame(&bytes).unwrap(), f, "roundtrip {f:?}");
+        }
+    }
+
+    #[test]
+    fn protocol_frame_sizes_match_encoding() {
+        let report = Frame::GainReport {
+            owner: 1,
+            round: 2,
+            gain: 3,
+            id: 4,
+        };
+        assert_eq!(encode_frame(&report).len(), GAIN_REPORT_BYTES);
+        let pick = Frame::PickRequest { round: 2, id: 4 };
+        assert_eq!(encode_frame(&pick).len(), PICK_REQUEST_BYTES);
+        assert_eq!(
+            encode_frame(&Frame::Finish { round: 2 }).len(),
+            FINISH_BYTES
+        );
+        for d in [0usize, 1, 7] {
+            let elems: Vec<u32> = (0..d as u32).collect();
+            let delta = Frame::Delta {
+                owner: 1,
+                round: 2,
+                elems: elems.clone(),
+            };
+            assert_eq!(encode_frame(&delta).len(), delta_bytes(d));
+            let advance = Frame::Advance {
+                round: 2,
+                cont: true,
+                elems,
+            };
+            assert_eq!(encode_frame(&advance).len(), advance_bytes(d));
         }
     }
 

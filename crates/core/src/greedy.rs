@@ -16,7 +16,8 @@
 //! ties to the smallest id).
 
 use crate::bitset::BitSet;
-use crate::store::BatchedSweep;
+use crate::shard::StoreShard;
+use crate::store::{BatchedSweep, SetStore};
 use crate::system::{SetId, SetSystem};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -125,10 +126,21 @@ pub fn greedy_cover_until_sharded_in(
 /// same-epoch CELF-chain reuse is built on exactly this: every prefix it
 /// hands out is byte-identical to a fresh [`greedy_cover_until`] run
 /// because both drive the same heap through the same loop.
+///
+/// The loop is split into a non-committing peek ([`best`](Self::best),
+/// [`shard_best`](Self::shard_best)) and a commit ([`pop`](Self::pop)), so
+/// a distributed shard owner can report its local argmax every round and
+/// remove it only when it wins the global pick; between peeks the
+/// residual may shrink by anyone's picks.
 pub struct CelfHeap {
     /// `(gain bound, Reverse(id))`: largest gain first, smallest id among
     /// equals — the eager scan's selection rule.
     heap: BinaryHeap<(usize, Reverse<SetId>)>,
+    /// The candidate the last peek returned, held off the heap with its
+    /// then-exact gain. It tops every heap bound, so the next peek
+    /// re-evaluates it first and [`pop`](Self::pop) commits it without a
+    /// heap operation.
+    top: Option<(usize, Reverse<SetId>)>,
 }
 
 impl CelfHeap {
@@ -145,13 +157,16 @@ impl CelfHeap {
             "target universe mismatch"
         );
         let mut sweep = BatchedSweep::new();
-        let heap = sweep
-            .gains(sys.store(), target)
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &g)| (g > 0).then_some((g, Reverse(i))))
-            .collect();
-        CelfHeap { heap }
+        CelfHeap::from_gains([(0, sweep.gains(sys.store(), target))])
+    }
+
+    /// [`seed`](Self::seed) over one shard view: the heap holds the
+    /// shard's *local* ids (`0..shard.len()`), seeded by one
+    /// [`StoreShard::gains`] sweep. Drive it with
+    /// [`shard_best`](Self::shard_best).
+    pub fn seed_shard(shard: &StoreShard<'_>, target: &BitSet) -> CelfHeap {
+        let mut sweep = BatchedSweep::new();
+        CelfHeap::from_gains([(0, shard.gains(&mut sweep, target))])
     }
 
     /// [`seed`](Self::seed) with the sweep fanned out over `workers`
@@ -174,45 +189,90 @@ impl CelfHeap {
             let mut sweep = BatchedSweep::new();
             sh.gains(&mut sweep, target).to_vec()
         });
-        let heap = shards
-            .iter()
-            .zip(&per_shard)
-            .flat_map(|(sh, gains)| {
-                let start = sh.ids().start;
+        CelfHeap::from_gains(
+            shards
+                .iter()
+                .zip(&per_shard)
+                .map(|(sh, gains)| (sh.ids().start, gains.as_slice())),
+        )
+    }
+
+    /// A heap over `(first id, gains)` runs; zero gains are left out.
+    fn from_gains<'g>(runs: impl IntoIterator<Item = (SetId, &'g [usize])>) -> CelfHeap {
+        let heap = runs
+            .into_iter()
+            .flat_map(|(start, gains)| {
                 gains
                     .iter()
                     .enumerate()
                     .filter_map(move |(j, &g)| (g > 0).then_some((g, Reverse(start + j))))
             })
             .collect();
-        CelfHeap { heap }
+        CelfHeap { heap, top: None }
     }
 
-    /// Pops the next greedy pick against the caller-maintained residual:
-    /// the set with the largest true gain on `uncovered`, smallest id among
-    /// equals — exactly the eager scan's rule. Returns `None` when no
-    /// remaining set makes progress (the heap is then exhausted for this
-    /// residual *and* every smaller one, by submodularity).
+    /// Peeks the greedy pick against the caller-maintained residual
+    /// without committing it: `(id, gain)` of the set with the largest
+    /// true gain on `uncovered`, smallest id among equals — exactly the
+    /// eager scan's rule, i.e. [`BatchedSweep::best`] over the same
+    /// residual. Returns `None` when no remaining set makes progress (the
+    /// heap is then exhausted for this residual *and* every smaller one,
+    /// by submodularity).
     ///
-    /// The caller must subtract the returned set from `uncovered` before
-    /// the next call; the heap itself only tracks stale upper bounds.
+    /// `uncovered` may shrink arbitrarily between calls; the heap only
+    /// tracks stale upper bounds.
+    pub fn best(&mut self, sys: &SetSystem, uncovered: &BitSet) -> Option<(SetId, usize)> {
+        self.refresh(sys.store(), 0, uncovered)
+    }
+
+    /// [`best`](Self::best) for a heap built by
+    /// [`seed_shard`](Self::seed_shard): returns the shard-local id.
+    pub fn shard_best(
+        &mut self,
+        shard: &StoreShard<'_>,
+        uncovered: &BitSet,
+    ) -> Option<(usize, usize)> {
+        self.refresh(shard.store(), shard.ids().start, uncovered)
+    }
+
+    /// Commits the candidate the last peek returned: removes and returns
+    /// it (`None` if the last peek found nothing). The caller subtracts
+    /// the set from its residual.
+    pub fn pop(&mut self) -> Option<SetId> {
+        self.top.take().map(|(_, Reverse(i))| i)
+    }
+
+    /// Peeks then pops: the next greedy pick. The caller must subtract the
+    /// returned set from `uncovered` before the next call.
     pub fn next_pick(&mut self, sys: &SetSystem, uncovered: &BitSet) -> Option<SetId> {
-        while let Some((_, Reverse(i))) = self.heap.pop() {
-            let gain = sys.set(i).intersection_len(uncovered.as_set_ref());
+        self.best(sys, uncovered)?;
+        self.pop()
+    }
+
+    /// The one CELF refresh loop: re-evaluate the top candidate's true
+    /// gain (ids are relative to `base` in `store`) until a refreshed
+    /// entry still tops every remaining bound.
+    fn refresh(
+        &mut self,
+        store: &SetStore,
+        base: usize,
+        uncovered: &BitSet,
+    ) -> Option<(SetId, usize)> {
+        let residual = uncovered.as_set_ref();
+        while let Some((_, Reverse(i))) = self.top.take().or_else(|| self.heap.pop()) {
+            let gain = store.get(base + i).intersection_len(residual);
             if gain == 0 {
                 continue; // fully stale candidate; drop it
             }
-            // Commit only if the refreshed entry would still be popped
-            // first — `>=` on the (gain, Reverse(id)) pair preserves the
-            // id tie-break.
-            let still_top = match self.heap.peek() {
-                None => true,
-                Some(&top) => (gain, Reverse(i)) >= top,
-            };
-            if still_top {
-                return Some(i);
+            // Hold the candidate only if the refreshed entry would still
+            // be popped first — `>=` on the (gain, Reverse(id)) pair
+            // preserves the id tie-break.
+            let entry = (gain, Reverse(i));
+            if self.heap.peek().is_none_or(|&next| entry >= next) {
+                self.top = Some(entry);
+                return Some((i, gain));
             }
-            self.heap.push((gain, Reverse(i)));
+            self.heap.push(entry);
         }
         None
     }
@@ -431,6 +491,66 @@ mod tests {
             }
             let full = greedy_cover_until(&sys, usize::MAX, &target);
             assert_eq!(full.ids, picks, "trial {trial} full drain");
+        }
+    }
+
+    /// A non-committing peek is the eager argmax at every step, while the
+    /// residual shrinks by picks the heap never saw — over the whole
+    /// system and over shard views, with ties and zero-gain sets.
+    #[test]
+    fn peek_matches_eager_best_under_foreign_picks() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(23);
+        let mut sweep = BatchedSweep::new();
+        for trial in 0..40 {
+            let n = 1 + rng.gen_range(0usize..48);
+            let m = rng.gen_range(1usize..30);
+            // Small universes make gain ties common; empty sets and a copy
+            // of set 0 add zero gains and exact ties.
+            let mut lists: Vec<Vec<usize>> = (0..m)
+                .map(|_| match rng.gen_range(0u32..5) {
+                    0 => Vec::new(),
+                    _ => (0..n).filter(|_| rng.gen_bool(0.2)).collect(),
+                })
+                .collect();
+            lists.push(lists[0].clone());
+            let sys = SetSystem::from_elements(n, &lists);
+            let target = BitSet::from_iter(n, (0..n).filter(|_| rng.gen_bool(0.9)));
+            let shards = sys.shards(1 + trial % 4);
+            let mut whole = CelfHeap::seed(&sys, &target);
+            let mut parts: Vec<CelfHeap> = shards
+                .iter()
+                .map(|sh| CelfHeap::seed_shard(sh, &target))
+                .collect();
+            let mut uncovered = target.clone();
+            for step in 0.. {
+                let got = whole.best(&sys, &uncovered);
+                sweep.gains(sys.store(), &uncovered);
+                assert_eq!(got, sweep.best(), "trial {trial} step {step}");
+                for (sh, heap) in shards.iter().zip(&mut parts) {
+                    sh.gains(&mut sweep, &uncovered);
+                    let want = sweep.best();
+                    assert_eq!(heap.shard_best(sh, &uncovered), want, "trial {trial}");
+                    // A repeated peek on an unchanged residual is stable.
+                    assert_eq!(heap.shard_best(sh, &uncovered), want, "trial {trial}");
+                }
+                let Some((i, _)) = got else { break };
+                if step % 2 == 0 {
+                    // Someone else's pick: a random subset the heaps never
+                    // saw leaves the residual; nothing is popped.
+                    for e in 0..n {
+                        if rng.gen_bool(0.3) {
+                            uncovered.remove(e);
+                        }
+                    }
+                } else {
+                    // The peeked winner is committed where it lives.
+                    assert_eq!(whole.pop(), Some(i));
+                    let o = shards.iter().position(|sh| sh.ids().contains(&i)).unwrap();
+                    assert_eq!(parts[o].pop(), Some(i - shards[o].ids().start));
+                    uncovered.difference_with_ref(sys.set(i));
+                }
+            }
         }
     }
 

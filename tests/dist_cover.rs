@@ -8,6 +8,8 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
+use streamcover::comm::cluster::{encode_frame, Frame};
+use streamcover::comm::transcript::{Message, Player};
 use streamcover::dist::sample_dsc_with_theta;
 use streamcover::prelude::*;
 
@@ -38,6 +40,108 @@ fn build_workload(kind: usize, rng: &mut StdRng) -> SetSystem {
     }
 }
 
+/// The transcript a `DistCover` run must record, rebuilt without the
+/// protocol: every round each shard reports the eager
+/// `BatchedSweep::best` of its range against the sequential residual, and
+/// the coordinator's frames follow from the global argmax.
+fn expected_transcript(
+    sys: &SetSystem,
+    owners: usize,
+    max_picks: usize,
+    target: &BitSet,
+) -> Vec<(Player, Vec<u8>)> {
+    let shards = sys.shards(owners);
+    let mut sweep = BatchedSweep::new();
+    let mut uncovered = target.clone();
+    let mut picks = 0usize;
+    let mut out = Vec::new();
+    for round in 0u32.. {
+        // (gain, global id, owner); shards come in id order, so a strict
+        // `>` keeps the smallest id among equal gains.
+        let mut best: Option<(usize, usize, usize)> = None;
+        for (o, shard) in shards.iter().enumerate() {
+            shard.gains(&mut sweep, &uncovered);
+            let (gain, id) = match sweep.best() {
+                Some((local, gain)) => (gain, shard.ids().start + local),
+                None => (0, usize::MAX),
+            };
+            let report = Frame::GainReport {
+                owner: o as u16,
+                round,
+                gain: gain as u64,
+                id: id as u64,
+            };
+            out.push((Player::Bob, encode_frame(&report)));
+            if gain > 0 && best.is_none_or(|(g, _, _)| gain > g) {
+                best = Some((gain, id, o));
+            }
+        }
+        let go = !uncovered.is_empty() && picks < max_picks;
+        let Some((_, id, winner)) = best.filter(|_| go) else {
+            for _ in &shards {
+                out.push((Player::Alice, encode_frame(&Frame::Finish { round })));
+            }
+            break;
+        };
+        let pick = Frame::PickRequest {
+            round,
+            id: id as u64,
+        };
+        out.push((Player::Alice, encode_frame(&pick)));
+        let elems: Vec<u32> = sys
+            .set(id)
+            .iter()
+            .filter(|&e| uncovered.contains(e))
+            .map(|e| e as u32)
+            .collect();
+        let delta = Frame::Delta {
+            owner: winner as u16,
+            round,
+            elems: elems.clone(),
+        };
+        out.push((Player::Bob, encode_frame(&delta)));
+        uncovered.difference_with_ref(sys.set(id));
+        picks += 1;
+        let cont = !uncovered.is_empty() && picks < max_picks;
+        for o in 0..shards.len() {
+            let advance = Frame::Advance {
+                round,
+                cont,
+                elems: if o == winner {
+                    Vec::new()
+                } else {
+                    elems.clone()
+                },
+            };
+            out.push((Player::Alice, encode_frame(&advance)));
+        }
+        if !cont {
+            break;
+        }
+    }
+    out
+}
+
+/// A run's transcript as `(sender, exact frame bytes)`, checking that every
+/// message is charged exactly its bytes.
+fn recorded_transcript(run: &DistCoverRun) -> Vec<(Player, Vec<u8>)> {
+    run.transcript
+        .messages()
+        .iter()
+        .map(|m| match m {
+            Message::Concrete {
+                from,
+                payload,
+                bits,
+            } => {
+                assert_eq!(*bits, payload.len() as u64 * 8, "frame charged short");
+                (*from, payload.clone())
+            }
+            Message::Abstract { .. } => panic!("abstract message in a cluster transcript"),
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
@@ -65,6 +169,38 @@ proptest! {
                     owners, backend, kind, POLICIES[policy_idx]
                 );
                 prop_assert!(run.total_bits() > 0);
+            }
+        }
+    }
+
+    // The whole transcript — every frame, byte for byte — equals the one
+    // rebuilt from eager per-shard sweeps, across 1/2/4/8 owners × both
+    // thread fabrics × every representation policy; its size equals the
+    // frame-size prediction.
+    #[test]
+    fn distributed_transcript_is_byte_identical(
+        seed in 0u64..1_000,
+        kind in 0usize..4,
+        max_picks in 0usize..40,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let base = build_workload(kind, &mut rng);
+        let target = BitSet::full(base.universe());
+        for policy in POLICIES {
+            let sys = with_policy(&base, policy);
+            for owners in [1usize, 2, 4, 8] {
+                let expected = expected_transcript(&sys, owners, max_picks, &target);
+                for backend in [DistBackend::InProcess, DistBackend::Socket] {
+                    let run = DistCover::new(owners, backend)
+                        .cover(&sys, max_picks, &target)
+                        .expect("distributed run failed");
+                    prop_assert!(
+                        recorded_transcript(&run) == expected,
+                        "owners={} backend={:?} kind={} policy={:?}",
+                        owners, backend, kind, policy
+                    );
+                    prop_assert_eq!(run.total_bits(), run.predicted_bits());
+                }
             }
         }
     }
@@ -161,9 +297,10 @@ fn owner_death_mid_round_is_a_clean_error() {
 }
 
 /// The lower-bound gate on the hard distribution: a `D_SC` instance split
-/// exactly Alice/Bob across two owners must measure at least
-/// `dsc_lower_bound_bits(t)` on the transcript (Lemma 3.4's floor) — and
-/// still reproduce the sequential cover bit for bit.
+/// exactly Alice/Bob across two owners must measure exactly the cost
+/// predicted from the wire frame sizes, at least `dsc_lower_bound_bits(t)`
+/// on the transcript (Lemma 3.4's floor) — and still reproduce the
+/// sequential cover bit for bit.
 #[test]
 fn dsc_measured_bits_dominate_info_lower_bound() {
     let mut rng = StdRng::seed_from_u64(7);
@@ -178,6 +315,7 @@ fn dsc_measured_bits_dominate_info_lower_bound() {
             .cover(&sys, sys.len(), &target)
             .expect("distributed run failed");
         assert_eq!(run.result, reference, "theta={theta}");
+        assert_eq!(run.total_bits(), run.predicted_bits(), "theta={theta}");
         let measured = run.total_bits() as f64;
         let bound = dsc_lower_bound_bits(p.t);
         assert!(
