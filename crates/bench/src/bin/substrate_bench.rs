@@ -33,12 +33,10 @@
 //! pays `O(n^{1/3})`.
 //!
 //! The `scheduler` arm measures the task path itself with no-op tasks:
-//! injection throughput, single-task steal latency, and old-vs-new
-//! per-task dispatch overhead against an in-bench replica of the PR 5
-//! global-`Mutex` scheduler, at 1/2/4/8 workers. Its identity gates
-//! (exact task accounting, `map_parts` equal to the sequential reference)
-//! are hard everywhere; its timing gates apply only on hosts with ≥ 4
-//! cores, where scheduler contention can actually manifest.
+//! amortized injection cost and the single-task scope round trip, at
+//! 1/2/4/8 workers. Its identity gates (exact task accounting,
+//! `map_parts` equal to the sequential reference) are hard everywhere;
+//! its timings are recorded, not gated.
 //!
 //! The thread, runtime, shard and guess-grid arms are correctness-gated,
 //! not speed-gated: worker counts 1/2/4/8 must produce identical picks and
@@ -625,144 +623,17 @@ struct SchedulerRow {
     workers: usize,
     tasks: usize,
     inject_ns: f64,
-    steal_lat_ns: f64,
-    old_dispatch_ns: f64,
-    new_dispatch_ns: f64,
-    dispatch_ratio: f64,
-}
-
-/// A faithful replica of the PR 5 scheduler — every per-worker deque
-/// folded behind ONE global `Mutex` that doubles as the park/wake lock —
-/// kept here as the baseline the `scheduler` arm measures the lock-split
-/// Chase–Lev runtime against. Submitters help by popping the same global
-/// queue, as the old `claim_from_scope` did.
-struct MutexPool {
-    shared: std::sync::Arc<MxShared>,
-    threads: Vec<std::thread::JoinHandle<()>>,
-}
-
-struct MxShared {
-    queue: Mutex<MxQueue>,
-    work: std::sync::Condvar,
-    pending: std::sync::atomic::AtomicUsize,
-    done_lock: Mutex<()>,
-    done_cv: std::sync::Condvar,
-}
-
-struct MxQueue {
-    tasks: std::collections::VecDeque<Box<dyn FnOnce() + Send>>,
-    shutdown: bool,
-}
-
-impl MutexPool {
-    fn new(workers: usize) -> Self {
-        use std::sync::atomic::AtomicUsize;
-        let shared = std::sync::Arc::new(MxShared {
-            queue: Mutex::new(MxQueue {
-                tasks: std::collections::VecDeque::new(),
-                shutdown: false,
-            }),
-            work: std::sync::Condvar::new(),
-            pending: AtomicUsize::new(0),
-            done_lock: Mutex::new(()),
-            done_cv: std::sync::Condvar::new(),
-        });
-        let threads = (0..workers.saturating_sub(1))
-            .map(|_| {
-                let shared = std::sync::Arc::clone(&shared);
-                std::thread::spawn(move || loop {
-                    let task = {
-                        let mut q = shared.queue.lock().expect("mutex pool queue");
-                        loop {
-                            if let Some(t) = q.tasks.pop_front() {
-                                break t;
-                            }
-                            if q.shutdown {
-                                return;
-                            }
-                            q = shared.work.wait(q).expect("mutex pool queue");
-                        }
-                    };
-                    task();
-                    shared.finish_one();
-                })
-            })
-            .collect();
-        MutexPool { shared, threads }
-    }
-
-    /// Runs `count` invocations of `f`, blocking until all complete —
-    /// inline when the pool has no threads (PR 5's sequential mode).
-    fn run_batch(&self, count: usize, f: impl Fn() + Send + Sync + Clone + 'static) {
-        use std::sync::atomic::Ordering;
-        if self.threads.is_empty() {
-            for _ in 0..count {
-                f();
-            }
-            return;
-        }
-        self.shared.pending.fetch_add(count, Ordering::Relaxed);
-        {
-            let mut q = self.shared.queue.lock().expect("mutex pool queue");
-            for _ in 0..count {
-                let f = f.clone();
-                q.tasks.push_back(Box::new(f));
-            }
-        }
-        self.shared.work.notify_all();
-        // Submitter helps under the same global lock (the PR 5 shape).
-        loop {
-            let task = {
-                let mut q = self.shared.queue.lock().expect("mutex pool queue");
-                q.tasks.pop_front()
-            };
-            match task {
-                Some(t) => {
-                    t();
-                    self.shared.finish_one();
-                }
-                None => break,
-            }
-        }
-        let mut guard = self.shared.done_lock.lock().expect("mutex pool done");
-        while self.shared.pending.load(Ordering::Acquire) > 0 {
-            guard = self.shared.done_cv.wait(guard).expect("mutex pool done");
-        }
-    }
-}
-
-impl MxShared {
-    fn finish_one(&self) {
-        use std::sync::atomic::Ordering;
-        if self.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
-            drop(self.done_lock.lock().expect("mutex pool done"));
-            self.done_cv.notify_all();
-        }
-    }
-}
-
-impl Drop for MutexPool {
-    fn drop(&mut self) {
-        self.shared.queue.lock().expect("mutex pool queue").shutdown = true;
-        self.shared.work.notify_all();
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
-    }
+    roundtrip_ns: f64,
 }
 
 /// The `scheduler` arm: per-task cost of the task path itself, measured
-/// with no-op tasks so queueing — not work — dominates. Three timings per
+/// with no-op tasks so queueing — not work — dominates. Two timings per
 /// width: `inject_ns` (amortized external submission throughput over a
-/// large scope), `steal_lat_ns` (single-task scope round-trip: inject →
-/// steal → complete → wake), and the old-vs-new comparison (`MutexPool`
-/// replica of the PR 5 global-lock scheduler vs the lock-split runtime,
-/// identical no-op batches). The hard gate is execution identity: every
+/// large scope) and `roundtrip_ns` (single-task scope round trip: push →
+/// pop/run → complete → wake). The hard gate is execution identity: every
 /// batch's completion counter must equal the submission count exactly, and
 /// `map_parts` must match the sequential reference at every width —
-/// asserted unconditionally inside the arm. Timing is recorded always but
-/// only *gated* when the host has ≥ 4 cores (the CI container is 1-core,
-/// where contention — the thing the rewrite removes — cannot manifest).
+/// asserted unconditionally inside the arm. Timing is recorded, not gated.
 fn bench_scheduler(smoke: bool) -> Vec<SchedulerRow> {
     use std::sync::atomic::{AtomicUsize, Ordering};
     let tasks = if smoke { 4096usize } else { 16384 };
@@ -806,9 +677,9 @@ fn bench_scheduler(smoke: bool) -> Vec<SchedulerRow> {
             });
             c.load(Ordering::Relaxed) as u64
         });
-        // Steal latency proxy: one task per scope — the full inject →
-        // steal/run → complete → wake round trip, unamortized.
-        let steal_lat_ns = time_ns_per_op(1, samples * 4, || {
+        // Round trip: one task per scope — push → pop/run → complete →
+        // wake, unamortized.
+        let roundtrip_ns = time_ns_per_op(1, samples * 4, || {
             let c = AtomicUsize::new(0);
             rt.scope(|s| {
                 s.spawn(|| {
@@ -817,37 +688,11 @@ fn bench_scheduler(smoke: bool) -> Vec<SchedulerRow> {
             });
             c.load(Ordering::Relaxed) as u64
         });
-        // Old-vs-new: identical no-op batches through the PR 5 replica.
-        let old_pool = MutexPool::new(workers);
-        let old_counter = std::sync::Arc::new(AtomicUsize::new(0));
-        {
-            let c = std::sync::Arc::clone(&old_counter);
-            old_pool.run_batch(tasks, move || {
-                c.fetch_add(1, Ordering::Relaxed);
-            });
-        }
-        assert_eq!(
-            old_counter.load(Ordering::SeqCst),
-            tasks,
-            "mutex replica identity at {workers} workers"
-        );
-        let old_dispatch_ns = time_ns_per_op(tasks as u64, samples, || {
-            let c = std::sync::Arc::new(AtomicUsize::new(0));
-            let cc = std::sync::Arc::clone(&c);
-            old_pool.run_batch(tasks, move || {
-                cc.fetch_add(1, Ordering::Relaxed);
-            });
-            c.load(Ordering::Relaxed) as u64
-        });
-        let new_dispatch_ns = inject_ns;
         rows.push(SchedulerRow {
             workers,
             tasks,
             inject_ns,
-            steal_lat_ns,
-            old_dispatch_ns,
-            new_dispatch_ns,
-            dispatch_ratio: old_dispatch_ns / new_dispatch_ns,
+            roundtrip_ns,
         });
     }
     rows
@@ -1669,14 +1514,8 @@ fn main() {
     let scheduler_rows = bench_scheduler(smoke);
     for r in &scheduler_rows {
         eprintln!(
-            "  scheduler: workers={} tasks={} inject {:.0}ns/task, steal-lat {:.0}ns, old {:.0}ns vs new {:.0}ns — {:.2}x (identity asserted)",
-            r.workers,
-            r.tasks,
-            r.inject_ns,
-            r.steal_lat_ns,
-            r.old_dispatch_ns,
-            r.new_dispatch_ns,
-            r.dispatch_ratio
+            "  scheduler: workers={} tasks={} inject {:.0}ns/task, round trip {:.0}ns (identity asserted)",
+            r.workers, r.tasks, r.inject_ns, r.roundtrip_ns
         );
     }
     let shard_rows = bench_shards(seed, smoke);
@@ -1925,18 +1764,7 @@ fn main() {
         let _ = writeln!(json, "      \"workers\": {},", r.workers);
         let _ = writeln!(json, "      \"tasks\": {},", r.tasks);
         let _ = writeln!(json, "      \"inject_ns_per_task\": {:.2},", r.inject_ns);
-        let _ = writeln!(json, "      \"steal_latency_ns\": {:.2},", r.steal_lat_ns);
-        let _ = writeln!(
-            json,
-            "      \"old_dispatch_ns_per_task\": {:.2},",
-            r.old_dispatch_ns
-        );
-        let _ = writeln!(
-            json,
-            "      \"new_dispatch_ns_per_task\": {:.2},",
-            r.new_dispatch_ns
-        );
-        let _ = writeln!(json, "      \"dispatch_ratio\": {:.2},", r.dispatch_ratio);
+        let _ = writeln!(json, "      \"roundtrip_ns\": {:.2},", r.roundtrip_ns);
         let _ = writeln!(json, "      \"identity\": true");
         let _ = writeln!(
             json,
@@ -2151,32 +1979,6 @@ fn main() {
                     r.speedup()
                 ));
             }
-        }
-        // Scheduler timing gates are enforced only on hosts with real
-        // parallelism: on fewer than 4 cores the lock contention the
-        // rewrite removes cannot manifest, so old-vs-new there measures
-        // scheduling noise, not the scheduler. (Identity gates ran
-        // unconditionally inside the arm.)
-        let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
-        if cores >= 4 {
-            for r in &scheduler_rows {
-                if r.workers == 1 && r.dispatch_ratio < 0.9 {
-                    failed.push(format!(
-                        "scheduler workers=1: new dispatch {:.0}ns/task worse than old {:.0}ns/task (ratio {:.2} < 0.9)",
-                        r.new_dispatch_ns, r.old_dispatch_ns, r.dispatch_ratio
-                    ));
-                }
-                if r.workers >= 4 && r.dispatch_ratio <= 1.0 {
-                    failed.push(format!(
-                        "scheduler workers={}: new dispatch {:.0}ns/task not faster than old {:.0}ns/task",
-                        r.workers, r.new_dispatch_ns, r.old_dispatch_ns
-                    ));
-                }
-            }
-        } else {
-            eprintln!(
-                "scheduler timing gates skipped: {cores} core(s) < 4 (identity gates were asserted in-arm)"
-            );
         }
         for r in &dist_rows {
             // Solution identity vs the sequential reference was asserted

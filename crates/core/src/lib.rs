@@ -19,8 +19,8 @@
 //!   set against one residual in a single columnar arena walk — the kernel
 //!   under the greedy solvers and the streaming candidate filters.
 //! * [`runtime`] — the **persistent execution runtime**: a long-lived pool
-//!   of parked worker threads ([`runtime::Runtime`]) with per-worker
-//!   injector/stealer deques and a structured-submission API
+//!   of worker threads ([`runtime::Runtime`]) fed from one shared
+//!   `Mutex`-guarded queue, with a structured-submission API
 //!   ([`runtime::Runtime::scope`] / [`runtime::Runtime::map_parts`]) that
 //!   every fan-out in the workspace routes through — one spawn cost for the
 //!   process lifetime instead of one per pass. Results are identical at

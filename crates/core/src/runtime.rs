@@ -1,35 +1,21 @@
 //! The persistent execution runtime: a long-lived pool of worker threads
-//! behind a structured-submission API, with a **lock-free task fast path**.
+//! behind a structured-submission API.
 //!
 //! Every fan-out in the workspace used to pay a fresh `std::thread::scope`
 //! spawn per pass/wave/shard; a [`Runtime`] amortizes that cost by keeping
-//! its workers alive for the process lifetime. The first pooled scheduler
-//! (PR 5) kept all per-worker deques behind one global `Mutex` that doubled
-//! as the park/wake lock — fine at shard/wave granularity, a serialization
-//! point once the serving layer started pushing fine-grained query tasks.
-//! This module removes that lock entirely from the hot path:
+//! its workers alive for the process lifetime. Scheduling is one FIFO
+//! queue behind one `Mutex`, plus one `Condvar` for idle workers:
 //!
-//! * each pool worker owns a **Chase–Lev work-stealing deque**
-//!   (`ClDeque`): the owner pushes and pops the *bottom* end with
-//!   relaxed/acquire-release atomics and no CAS in the common case, thieves
-//!   steal the *top* end with a single CAS — `std` atomics only, no
-//!   external dependencies (see the memory-ordering notes on `ClDeque`);
-//! * external submission goes through **per-worker bounded injector rings**
-//!   (`Injector`) selected by a round-robin cursor — lock-free
-//!   fixed-capacity queues (Vyukov-style sequence counters). The rings are
-//!   multi-producer *and* multi-consumer: the owning worker is the common
-//!   consumer, but an idle worker (or a submitter draining its own scope)
-//!   may rescue tasks from a busy peer's ring, so a task can never strand
-//!   behind a pinned owner. A ring that is momentarily full falls through
-//!   to the next worker's ring; if every ring is full the submitting thread
-//!   simply runs the task inline — backpressure, never blocking on a lock;
-//! * parking moved to a **separate idle `Mutex`/`Condvar`** that is only
-//!   touched on the slow path: a worker first spins (with escalating
-//!   [`std::hint::spin_loop`] pauses), then yields, and only after a full
-//!   backoff round finds no work does it take the idle lock. Producers
-//!   touch that lock only when a worker is actually parked (checked via an
-//!   atomic counter, see `Shared::notify`) — a steady stream of tasks
-//!   with all workers busy never contends on any lock.
+//! * every submission — from an outside thread or from a task running on
+//!   a pool worker — pushes onto the shared queue under the lock, updates
+//!   an atomic mirror of the queue length, and wakes one sleeping worker
+//!   unless a wakeup is already in flight (a worker that pops passes it
+//!   on while work remains);
+//! * an idle worker polls that mirror through a short, fixed
+//!   spin-then-yield backoff before it sleeps on the condvar, so a steady
+//!   stream of fan-outs rarely pays a sleep/wake round trip. The decision
+//!   to sleep is taken under the queue lock, so a push can never fall
+//!   between a worker's last look at the queue and its wait.
 //!
 //! Structure:
 //!
@@ -38,17 +24,17 @@
 //!   the scope does not return until every task has completed, and task
 //!   panics are resurfaced on the submitting thread at scope end (first
 //!   payload wins, *suppressed sibling panics are counted* in the
-//!   resurfaced message rather than dropped silently).
+//!   resurfaced message rather than dropped silently). The contract is the
+//!   same at every width, the inline 1-worker runtime included.
 //! * [`Runtime::map_parts`] — the one fork/join shape the workspace uses:
 //!   run a closure once per part, results in part order. **Results are
 //!   identical for every pool size and across pool reuse** — each part
 //!   writes its own slot, so scheduling can never reorder or leak state.
 //! * Submission is re-entrant: a task may itself call `scope`/`map_parts`
-//!   on the same runtime (parallel passes inside parallel guesses). A task
-//!   spawned *from* a pool worker goes straight onto that worker's own
-//!   deque (owner push — no CAS, no cursor), and a thread waiting for its
-//!   scope helps execute queued tasks instead of blocking, so nested
-//!   submission makes progress even when every pool worker is busy.
+//!   on the same runtime (parallel passes inside parallel guesses). A
+//!   thread waiting for its scope helps execute queued tasks instead of
+//!   blocking, so nested submission makes progress even when every pool
+//!   worker is busy.
 //! * [`Runtime::default`] sizes the pool from
 //!   [`std::thread::available_parallelism`], overridable with the
 //!   `STREAMCOVER_WORKERS` environment variable (snapshotted at the first
@@ -57,22 +43,14 @@
 //!   (default-sized and single-worker respectively).
 
 use std::any::Any;
-use std::cell::Cell;
+use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::ptr;
-use std::sync::atomic::{
-    fence, AtomicBool, AtomicI64, AtomicPtr, AtomicUsize, Ordering::AcqRel, Ordering::Acquire,
-    Ordering::Relaxed, Ordering::Release, Ordering::SeqCst,
-};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::atomic::{AtomicUsize, Ordering::AcqRel, Ordering::Acquire, Ordering::Relaxed};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::thread::JoinHandle;
 
 /// One unit of submitted work, tagged with the scope that awaits it.
-///
-/// Tasks travel through the queues as raw `Box` pointers so the Chase–Lev
-/// slots can be plain `AtomicPtr`s (racy slot reads are then ordinary
-/// atomic loads — never undefined behavior).
 struct Task {
     scope: Arc<ScopeState>,
     // Lifetime-erased from `'env`; sound because `Runtime::scope` blocks
@@ -84,531 +62,129 @@ struct Task {
 /// Executes one task, recording a panic on its scope instead of unwinding
 /// through (and killing) the executing thread; panics are resurfaced by
 /// the submitter at scope end.
-// Tasks travel the queues as `Box<Task>` raw pointers; taking the box
-// (rather than `Task`) keeps every call site a plain move of what the
-// queue handed back.
-#[allow(clippy::boxed_local)]
-fn run_task(task: Box<Task>) {
-    let Task { scope, run } = *task;
+fn run_task(task: Task) {
+    let Task { scope, run } = task;
     let outcome = catch_unwind(AssertUnwindSafe(run)).err();
     scope.complete(outcome);
 }
 
 // ---------------------------------------------------------------------------
-// Chase–Lev work-stealing deque
+// The shared queue
 // ---------------------------------------------------------------------------
 
-/// Fixed-capacity circular slot array of one [`ClDeque`] generation.
-///
-/// Slots are `AtomicPtr` so a thief's read of a slot the owner is about to
-/// overwrite is a *racy but well-defined* atomic load; the CAS on `top`
-/// decides afterwards whether the read value is owned. Capacity is always a
-/// power of two, so `index & mask` replaces the modulo.
-struct ClBuffer {
-    mask: usize,
-    slots: Box<[AtomicPtr<Task>]>,
+/// Everything guarded by the pool lock.
+struct Queue {
+    tasks: VecDeque<Task>,
+    /// Workers blocked on [`Shared::wake`].
+    sleepers: usize,
+    /// A notify was sent and its worker has not woken yet; cleared by the
+    /// next worker to return from its wait.
+    waking: bool,
+    shutdown: bool,
 }
 
-impl ClBuffer {
-    fn new(cap: usize) -> Box<ClBuffer> {
-        debug_assert!(cap.is_power_of_two());
-        Box::new(ClBuffer {
-            mask: cap - 1,
-            slots: (0..cap).map(|_| AtomicPtr::new(ptr::null_mut())).collect(),
-        })
+impl Queue {
+    /// Whether the caller should wake one sleeping worker: work is queued,
+    /// a worker sleeps, and no earlier wakeup is still in flight. A burst
+    /// of pushes thus costs one notify, and each worker that pops passes
+    /// the wakeup on while work remains.
+    fn claim_wake(&mut self) -> bool {
+        let wake = !self.tasks.is_empty() && self.sleepers > 0 && !self.waking;
+        self.waking |= wake;
+        wake
     }
-
-    #[inline]
-    fn slot(&self, i: i64) -> &AtomicPtr<Task> {
-        &self.slots[(i as usize) & self.mask]
-    }
-
-    fn cap(&self) -> usize {
-        self.mask + 1
-    }
-}
-
-/// A Chase–Lev work-stealing deque specialized to `Box<Task>` payloads,
-/// built on `std` atomics only.
-///
-/// Protocol (after Chase & Lev, SPAA '05, with the orderings of Lê,
-/// Pop, Cohen & Zappa Nardelli, PPoPP '13 — the weak-memory-proven
-/// version):
-///
-/// * **`push` (owner only)** — write the slot, then publish with a
-///   `Release` store of `bottom`. A thief that observes the new `bottom`
-///   via its `Acquire` load therefore also observes the slot write.
-///   No CAS: the owner is the only writer of `bottom`.
-/// * **`pop` (owner only)** — decrement `bottom` (`Relaxed`), then a
-///   **`SeqCst` fence**, then read `top`. The fence pairs with the one in
-///   `steal`: either the thief sees the decremented `bottom` (and gives
-///   up), or the owner sees the thief's `top` increment (and loses the
-///   race) — both can't miss each other, which is exactly the
-///   store-buffering (Dekker) shape only `SeqCst` excludes. On the
-///   last-element race the owner CASes `top` like a thief would.
-/// * **`steal` (any thread)** — read `top` (`Acquire`), `SeqCst` fence,
-///   read `bottom` (`Acquire`); if non-empty, read the slot *first*, then
-///   claim it with a `SeqCst` CAS on `top`. The CAS succeeding proves the
-///   pre-read slot value was still owned by index `top` at the claim
-///   point; `top` is monotonically increasing (64-bit — it never wraps in
-///   practice and never ABAs).
-/// * **growth** — the owner allocates a doubled buffer, copies the live
-///   window `[top, bottom)`, publishes the new buffer with a `Release`
-///   store, and *retires* the old buffer instead of freeing it: a thief
-///   may still hold the old pointer and read a slot from it, which stays
-///   sound because the owner never writes to a retired buffer and the
-///   allocation lives until the deque is dropped. Retired generations
-///   total less than the final buffer's size (geometric series), so this
-///   deliberate non-reclamation is bounded — the documented trade that
-///   keeps the implementation epoch/hazard-free on `std` alone. We also
-///   do not shrink: the workspace's fan-outs are short bursts, and a warm
-///   buffer is exactly what the next burst wants.
-struct ClDeque {
-    /// Next index the owner pushes to; owner-written, thief-read.
-    bottom: AtomicI64,
-    /// Next index a thief steals from; CAS-claimed.
-    top: AtomicI64,
-    /// Current buffer generation (owner-replaced on growth).
-    buf: AtomicPtr<ClBuffer>,
-    /// Retired generations, kept alive for late thief reads. Locked only
-    /// on growth (owner) and drop — never on the task fast path.
-    retired: Mutex<Vec<*mut ClBuffer>>,
-}
-
-// SAFETY: the raw buffer pointers are owned by the deque (created by
-// `Box::into_raw`, freed exactly once in `drop`); all cross-thread slot
-// access goes through atomics per the protocol above.
-unsafe impl Send for ClDeque {}
-unsafe impl Sync for ClDeque {}
-
-/// Initial slots per deque; grows by doubling.
-const DEQUE_INIT_CAP: usize = 64;
-
-/// Outcome of one steal attempt.
-enum Steal {
-    /// Deque observed empty.
-    Empty,
-    /// Lost a race with the owner or another thief; worth retrying.
-    Retry,
-    /// Claimed a task.
-    Got(Box<Task>),
-}
-
-impl ClDeque {
-    fn new() -> Self {
-        ClDeque {
-            bottom: AtomicI64::new(0),
-            top: AtomicI64::new(0),
-            buf: AtomicPtr::new(Box::into_raw(ClBuffer::new(DEQUE_INIT_CAP))),
-            retired: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Owner-only push onto the bottom end.
-    fn push(&self, task: Box<Task>) {
-        let b = self.bottom.load(Relaxed);
-        let t = self.top.load(Acquire);
-        let mut buf = self.buf.load(Relaxed);
-        // SAFETY: `buf` is a live allocation (owner frees only on drop).
-        if b - t >= unsafe { (*buf).cap() } as i64 {
-            buf = self.grow(t, b, buf);
-        }
-        // SAFETY: as above; the slot write is published by the Release
-        // store of `bottom` below.
-        unsafe { (*buf).slot(b).store(Box::into_raw(task), Relaxed) };
-        self.bottom.store(b + 1, Release);
-    }
-
-    /// Owner-only pop from the bottom end (LIFO — the owner runs its most
-    /// recently spawned task first, the cache-friendly order for nested
-    /// fan-outs).
-    fn pop(&self) -> Option<Box<Task>> {
-        let b = self.bottom.load(Relaxed) - 1;
-        let buf = self.buf.load(Relaxed);
-        self.bottom.store(b, Relaxed);
-        fence(SeqCst); // pairs with the fence in `steal` (see ClDeque docs)
-        let t = self.top.load(Relaxed);
-        if t <= b {
-            // SAFETY: buffer live; index `b` holds a task published by a
-            // prior push (t <= b < previous bottom).
-            let p = unsafe { (*buf).slot(b).load(Relaxed) };
-            if t == b {
-                // Last element: race thieves for it via the top CAS.
-                let won = self.top.compare_exchange(t, t + 1, SeqCst, Relaxed).is_ok();
-                self.bottom.store(b + 1, Relaxed);
-                // SAFETY: winning the CAS transfers ownership of `p`.
-                return won.then(|| unsafe { Box::from_raw(p) });
-            }
-            // SAFETY: more than one element — no thief can claim index b.
-            Some(unsafe { Box::from_raw(p) })
-        } else {
-            self.bottom.store(b + 1, Relaxed);
-            None
-        }
-    }
-
-    /// Thief-side steal from the top end (FIFO — thieves take the oldest
-    /// task, the one least likely to be in the owner's cache).
-    fn steal(&self) -> Steal {
-        let t = self.top.load(Acquire);
-        fence(SeqCst); // pairs with the fence in `pop`
-        let b = self.bottom.load(Acquire);
-        if t >= b {
-            return Steal::Empty;
-        }
-        let buf = self.buf.load(Acquire);
-        // SAFETY: `buf` (current or retired) stays allocated until drop;
-        // the racy slot load is an atomic read, validated by the CAS below
-        // before the value is used.
-        let p = unsafe { (*buf).slot(t).load(Relaxed) };
-        if self
-            .top
-            .compare_exchange(t, t + 1, SeqCst, Relaxed)
-            .is_err()
-        {
-            return Steal::Retry;
-        }
-        // SAFETY: the CAS claimed index `t`, transferring ownership of the
-        // pointer read from it.
-        Steal::Got(unsafe { Box::from_raw(p) })
-    }
-
-    /// Approximate emptiness for the pre-park recheck: may spuriously
-    /// report non-empty (the parker then rescans), but any task published
-    /// before the caller's `SeqCst` fence is reported.
-    fn maybe_nonempty(&self) -> bool {
-        self.top.load(Acquire) < self.bottom.load(Acquire)
-    }
-
-    /// Owner-only growth: double, copy the live window, retire the old
-    /// generation (see the type-level docs for why it is not freed).
-    fn grow(&self, t: i64, b: i64, old: *mut ClBuffer) -> *mut ClBuffer {
-        // SAFETY: `old` is live; only the owner calls grow.
-        let new = unsafe {
-            let new = Box::into_raw(ClBuffer::new((*old).cap() * 2));
-            for i in t..b {
-                (*new).slot(i).store((*old).slot(i).load(Relaxed), Relaxed);
-            }
-            new
-        };
-        self.buf.store(new, Release);
-        self.retired
-            .lock()
-            .expect("retired list poisoned")
-            .push(old);
-        new
-    }
-}
-
-impl Drop for ClDeque {
-    fn drop(&mut self) {
-        // Single-threaded by here (workers joined): free any stranded
-        // tasks (unreachable through the public API — scopes drain before
-        // returning — but leaking on a panic-torn pool would be worse),
-        // then every buffer generation.
-        let t = self.top.load(Relaxed);
-        let b = self.bottom.load(Relaxed);
-        let buf = self.buf.load(Relaxed);
-        for i in t..b {
-            // SAFETY: sole thread; indices [t, b) hold unclaimed tasks.
-            drop(unsafe { Box::from_raw((*buf).slot(i).load(Relaxed)) });
-        }
-        // SAFETY: sole thread; each raw buffer was created by
-        // Box::into_raw and never freed before.
-        unsafe {
-            drop(Box::from_raw(buf));
-            for old in self
-                .retired
-                .get_mut()
-                .expect("retired list poisoned")
-                .drain(..)
-            {
-                drop(Box::from_raw(old));
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Bounded injector rings
-// ---------------------------------------------------------------------------
-
-/// Capacity of each per-worker injector ring (power of two). 256 pending
-/// external tasks *per worker* is far beyond any workspace fan-out; the
-/// overflow path (run inline on the submitter) is backpressure, not an
-/// error.
-const INJECTOR_CAP: usize = 256;
-
-/// One slot of an [`Injector`]: a sequence counter plus the task pointer.
-struct InjectorSlot {
-    seq: AtomicUsize,
-    task: AtomicPtr<Task>,
-}
-
-/// A bounded lock-free ring for external task injection (Vyukov-style
-/// sequence-counter queue).
-///
-/// Each slot carries a sequence number: `seq == pos` means free for the
-/// producer claiming ticket `pos`, `seq == pos + 1` means filled and ready
-/// for the consumer claiming ticket `pos`, anything else means another
-/// ticket holder is mid-operation. Producers and consumers claim tickets
-/// with a CAS on `tail`/`head`; the slot's `Release` sequence store
-/// publishes the payload, the matching `Acquire` load receives it. The
-/// ring is multi-producer (any submitting thread) and multi-consumer — the
-/// owning worker is the common consumer, but peers may rescue tasks so
-/// nothing strands behind a busy or parked owner.
-struct Injector {
-    head: AtomicUsize,
-    tail: AtomicUsize,
-    slots: Box<[InjectorSlot]>,
-}
-
-impl Injector {
-    fn new() -> Self {
-        Injector {
-            head: AtomicUsize::new(0),
-            tail: AtomicUsize::new(0),
-            slots: (0..INJECTOR_CAP)
-                .map(|i| InjectorSlot {
-                    seq: AtomicUsize::new(i),
-                    task: AtomicPtr::new(ptr::null_mut()),
-                })
-                .collect(),
-        }
-    }
-
-    #[inline]
-    fn mask(&self) -> usize {
-        self.slots.len() - 1
-    }
-
-    /// Attempts to enqueue; returns the task back when the ring is full.
-    fn push(&self, task: Box<Task>) -> Result<(), Box<Task>> {
-        let mask = self.mask();
-        let mut pos = self.tail.load(Relaxed);
-        loop {
-            let slot = &self.slots[pos & mask];
-            let seq = slot.seq.load(Acquire);
-            match (seq as isize).wrapping_sub(pos as isize) {
-                0 => {
-                    match self.tail.compare_exchange_weak(
-                        pos,
-                        pos.wrapping_add(1),
-                        Relaxed,
-                        Relaxed,
-                    ) {
-                        Ok(_) => {
-                            slot.task.store(Box::into_raw(task), Relaxed);
-                            slot.seq.store(pos.wrapping_add(1), Release);
-                            return Ok(());
-                        }
-                        Err(now) => pos = now,
-                    }
-                }
-                d if d < 0 => return Err(task), // a full lap behind: ring is full
-                _ => pos = self.tail.load(Relaxed),
-            }
-        }
-    }
-
-    /// Attempts to dequeue one task (any thread).
-    fn pop(&self) -> Option<Box<Task>> {
-        let mask = self.mask();
-        let mut pos = self.head.load(Relaxed);
-        loop {
-            let slot = &self.slots[pos & mask];
-            let seq = slot.seq.load(Acquire);
-            match (seq as isize).wrapping_sub(pos.wrapping_add(1) as isize) {
-                0 => {
-                    match self.head.compare_exchange_weak(
-                        pos,
-                        pos.wrapping_add(1),
-                        Relaxed,
-                        Relaxed,
-                    ) {
-                        Ok(_) => {
-                            let p = slot.task.swap(ptr::null_mut(), Relaxed);
-                            slot.seq
-                                .store(pos.wrapping_add(mask).wrapping_add(1), Release);
-                            // SAFETY: the seq Acquire above observed the
-                            // producer's Release, so `p` is the published
-                            // task pointer, now exclusively ours.
-                            return Some(unsafe { Box::from_raw(p) });
-                        }
-                        Err(now) => pos = now,
-                    }
-                }
-                d if d < 0 => return None, // slot not yet filled: empty
-                _ => pos = self.head.load(Relaxed),
-            }
-        }
-    }
-
-    /// Approximate non-emptiness for the pre-park recheck (may spuriously
-    /// report non-empty while a producer is mid-publish; the parker then
-    /// rescans and re-parks).
-    fn maybe_nonempty(&self) -> bool {
-        self.head.load(Acquire) != self.tail.load(Acquire)
-    }
-}
-
-impl Drop for Injector {
-    fn drop(&mut self) {
-        while self.pop().is_some() {}
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Shared pool state, parking protocol
-// ---------------------------------------------------------------------------
-
-/// Idle-side state guarded by the park lock (slow path only).
-struct IdleState {
-    /// Bumped on every notification; parked workers wait for a change so a
-    /// wakeup that races with the park itself is never lost.
-    epoch: u64,
 }
 
 /// State shared between the pool threads and submitters.
 struct Shared {
-    /// One Chase–Lev deque per pool thread (owner-indexed).
-    deques: Vec<ClDeque>,
-    /// One bounded injector ring per pool thread.
-    injectors: Vec<Injector>,
-    /// Round-robin cursor over the injector rings.
-    inject_cursor: AtomicUsize,
-    /// Number of workers currently inside the park protocol. Producers
-    /// skip the idle lock entirely while this is zero — the fast path.
-    parked: AtomicUsize,
-    shutdown: AtomicBool,
-    /// The park/wake lock — reachable **only** from the park/unpark slow
-    /// path, never from injection, local pop, or steal.
-    idle: Mutex<IdleState>,
-    idle_cv: Condvar,
+    queue: Mutex<Queue>,
+    /// `queue.tasks.len()` as of the last push or pop. Written only under
+    /// the lock, read without it so idle workers and helping submitters can
+    /// poll an empty queue without contending on the lock. The tasks
+    /// themselves pass through the mutex, so the mirror publishes no data
+    /// and `Relaxed` suffices: a stale read only delays a pickup, because a
+    /// worker never sleeps without rechecking the queue under the lock.
+    queued: AtomicUsize,
+    wake: Condvar,
 }
 
 impl Shared {
-    /// Wakes a parked worker if (and only if) one exists.
-    ///
-    /// The `SeqCst` fence before the `parked` read pairs with the fence a
-    /// parking worker executes between incrementing `parked` and its final
-    /// queue recheck ([`Shared::park`]): if that recheck missed our
-    /// enqueue, this load is guaranteed to see `parked > 0` (the classic
-    /// store-buffering argument — both sides can't read stale), so the
-    /// slow path below runs and the epoch bump under the idle lock makes
-    /// the wakeup durable even if the worker has not reached `wait` yet.
-    fn notify(&self) {
-        fence(SeqCst);
-        if self.parked.load(Relaxed) > 0 {
-            let mut idle = self.idle.lock().expect("idle lock poisoned");
-            idle.epoch = idle.epoch.wrapping_add(1);
-            self.idle_cv.notify_one();
+    fn lock(&self) -> MutexGuard<'_, Queue> {
+        // Nothing panics while holding the lock (tasks run outside it).
+        self.queue.lock().expect("runtime queue lock poisoned")
+    }
+
+    /// Refreshes the length mirror, unlocks, and wakes one sleeping
+    /// worker when [`Queue::claim_wake`] says so.
+    fn unlock(&self, mut q: MutexGuard<'_, Queue>) {
+        self.queued.store(q.tasks.len(), Relaxed);
+        let wake = q.claim_wake();
+        drop(q);
+        if wake {
+            self.wake.notify_one();
         }
     }
 
-    /// Whether any queue may hold work (racy; spurious `true` is fine —
-    /// the caller rescans properly).
-    fn maybe_work(&self) -> bool {
-        self.deques.iter().any(ClDeque::maybe_nonempty)
-            || self.injectors.iter().any(Injector::maybe_nonempty)
+    fn push(&self, task: Task) {
+        let mut q = self.lock();
+        q.tasks.push_back(task);
+        self.unlock(q);
     }
 
-    /// Parks the calling worker until a notification or shutdown. Returns
-    /// immediately if work became visible while entering the protocol.
-    fn park(&self) {
-        let mut idle = self.idle.lock().expect("idle lock poisoned");
-        let entry_epoch = idle.epoch;
-        self.parked.fetch_add(1, SeqCst);
-        fence(SeqCst); // pairs with the fence in `notify` — see there
-        if self.maybe_work() || self.shutdown.load(Relaxed) {
-            self.parked.fetch_sub(1, Relaxed);
-            return;
+    /// Pops the oldest task, if any; an empty queue costs one atomic load.
+    fn pop(&self) -> Option<Task> {
+        if self.queued.load(Relaxed) == 0 {
+            return None;
         }
-        while idle.epoch == entry_epoch && !self.shutdown.load(Relaxed) {
-            idle = self.idle_cv.wait(idle).expect("idle lock poisoned");
-        }
-        self.parked.fetch_sub(1, Relaxed);
-    }
-
-    /// Finds one runnable task: own deque first (owner pop, LIFO), then
-    /// the own injector ring, then steals from peers — deque top, then
-    /// injector rescue — starting after the caller's own index so thieves
-    /// spread instead of convoying on worker 0. `me` is `None` for
-    /// non-pool threads (submitters helping their scope), which skip the
-    /// owner paths and go straight to stealing everything.
-    fn find_task(&self, me: Option<usize>) -> Option<Box<Task>> {
-        if let Some(i) = me {
-            if let Some(t) = self.deques[i].pop() {
-                return Some(t);
-            }
-            if let Some(t) = self.injectors[i].pop() {
-                return Some(t);
-            }
-        }
-        let k = self.deques.len();
-        let start = me.map_or(0, |i| i + 1);
-        for off in 0..k {
-            let v = (start + off) % k;
-            if Some(v) == me {
-                continue;
-            }
-            loop {
-                match self.deques[v].steal() {
-                    Steal::Got(t) => return Some(t),
-                    Steal::Empty => break,
-                    Steal::Retry => std::hint::spin_loop(), // lost a race; victim still has work
-                }
-            }
-            if let Some(t) = self.injectors[v].pop() {
-                return Some(t);
-            }
-        }
-        None
+        let mut q = self.lock();
+        let task = q.tasks.pop_front();
+        self.unlock(q);
+        task
     }
 }
 
-/// Spin rounds (full queue scans with escalating `spin_loop` pauses)
-/// before yielding. Each round `r` pauses `2^min(r,6)` times.
+/// Spin rounds of the idle backoff; round `r` pauses `2^min(r,6)` times.
 const BACKOFF_SPINS: usize = 8;
-/// Yield rounds (`thread::yield_now` + rescan) after spinning, before the
-/// idle lock is touched.
+/// `thread::yield_now` rounds after spinning, before a worker sleeps.
 const BACKOFF_YIELDS: usize = 4;
 
-/// One pool worker: scan, back off, park; repeat until shutdown.
-fn worker_loop(shared: &Shared, me: usize) {
-    WORKER_CTX.with(|ctx| ctx.set(Some((ptr::from_ref(shared) as usize, me))));
-    'scan: loop {
-        if let Some(task) = shared.find_task(Some(me)) {
-            run_task(task);
-            continue 'scan;
-        }
-        // Bounded spin-then-yield backoff: cheap re-scans first, so a
-        // steady task stream never reaches the idle lock.
-        for round in 0..BACKOFF_SPINS + BACKOFF_YIELDS {
-            if round < BACKOFF_SPINS {
-                for _ in 0..(1usize << round.min(6)) {
-                    std::hint::spin_loop();
-                }
-            } else {
-                std::thread::yield_now();
+/// Polls the queue-length mirror through the bounded spin-then-yield
+/// backoff; `true` as soon as work shows up.
+fn idle_poll(shared: &Shared) -> bool {
+    (0..BACKOFF_SPINS + BACKOFF_YIELDS).any(|round| {
+        if round < BACKOFF_SPINS {
+            for _ in 0..(1usize << round.min(6)) {
+                std::hint::spin_loop();
             }
-            if let Some(task) = shared.find_task(Some(me)) {
-                run_task(task);
-                continue 'scan;
-            }
+        } else {
+            std::thread::yield_now();
         }
-        if shared.shutdown.load(Acquire) {
-            return;
-        }
-        shared.park();
-    }
+        shared.queued.load(Relaxed) > 0
+    })
 }
 
-thread_local! {
-    /// `(Shared address, worker index)` of the pool this thread belongs
-    /// to, if any — lets `Scope::spawn` recognize owner pushes and lets a
-    /// worker running a nested scope help from its own deque first.
-    static WORKER_CTX: Cell<Option<(usize, usize)>> = const { Cell::new(None) };
+/// One pool worker: pop and run, back off, sleep; repeat until shutdown.
+fn worker_loop(shared: &Shared) {
+    loop {
+        if let Some(task) = shared.pop() {
+            run_task(task);
+            continue;
+        }
+        if idle_poll(shared) {
+            continue;
+        }
+        let mut q = shared.lock();
+        while q.tasks.is_empty() && !q.shutdown {
+            q.sleepers += 1;
+            q = shared.wake.wait(q).expect("runtime queue lock poisoned");
+            q.sleepers -= 1;
+            q.waking = false;
+        }
+        // Empty here means shutdown; queued tasks are drained first.
+        if q.tasks.is_empty() {
+            return;
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -647,15 +223,19 @@ impl ScopeState {
         }
     }
 
+    fn record_panic(&self, p: Box<dyn Any + Send>) {
+        let mut slot = self.panic.lock().expect("scope panic slot poisoned");
+        if slot.first.is_none() {
+            slot.first = Some(p);
+        } else {
+            slot.suppressed += 1;
+            drop(p); // payload dropped, but *counted* — see take_panic
+        }
+    }
+
     fn complete(&self, panic: Option<Box<dyn Any + Send>>) {
         if let Some(p) = panic {
-            let mut slot = self.panic.lock().expect("scope panic slot poisoned");
-            if slot.first.is_none() {
-                slot.first = Some(p);
-            } else {
-                slot.suppressed += 1;
-                drop(p); // payload dropped, but *counted* — see take_panic
-            }
+            self.record_panic(p);
         }
         if self.pending.fetch_sub(1, AcqRel) == 1 {
             // Last task: wake the submitter if it sleeps. Taking the lock
@@ -696,15 +276,17 @@ pub struct Scope<'rt, 'env> {
 }
 
 impl<'env> Scope<'_, 'env> {
-    /// Submits one task. On a sequential runtime (no pool threads) the task
-    /// runs inline, immediately. Otherwise: spawned from a pool worker of
-    /// this runtime, it goes onto that worker's own deque (lock-free owner
-    /// push); spawned from any other thread, it goes into an injector ring
-    /// chosen round-robin (lock-free bounded MPMC) — and if every ring is
-    /// full, the submitting thread runs it inline (backpressure).
+    /// Submits one task. A sequential runtime (no pool threads) runs it
+    /// inline, immediately; otherwise it is queued for the pool. Either
+    /// way a panicking task is recorded on the scope, its siblings still
+    /// run, and the panic is resurfaced when the scope ends.
     pub fn spawn(&self, f: impl FnOnce() + Send + 'env) {
         if self.rt.threads.is_empty() {
-            f();
+            // Nobody waits on the latch of an inline task, so only the
+            // panic bookkeeping applies.
+            if let Err(p) = catch_unwind(AssertUnwindSafe(f)) {
+                self.state.record_panic(p);
+            }
             return;
         }
         let run: Box<dyn FnOnce() + Send + 'env> = Box::new(f);
@@ -715,11 +297,10 @@ impl<'env> Scope<'_, 'env> {
         // sibling task panics. The erased box never outlives the wait.
         let run: Box<dyn FnOnce() + Send + 'static> = unsafe { std::mem::transmute(run) };
         self.state.pending.fetch_add(1, Relaxed);
-        let task = Box::new(Task {
+        self.rt.shared.push(Task {
             scope: Arc::clone(&self.state),
             run,
         });
-        self.rt.enqueue(task);
     }
 }
 
@@ -727,8 +308,8 @@ impl<'env> Scope<'_, 'env> {
 // Runtime
 // ---------------------------------------------------------------------------
 
-/// A persistent pool of worker threads with lock-free work-stealing
-/// scheduling (see the module docs for the queue architecture).
+/// A persistent pool of worker threads fed from one shared queue (see the
+/// module docs).
 ///
 /// A runtime with `workers() == w` executes fan-outs at parallelism `w`:
 /// `w - 1` pool threads plus the submitting thread, which always
@@ -751,22 +332,22 @@ impl Runtime {
     /// inline.
     pub fn new(workers: usize) -> Self {
         let workers = workers.max(1);
-        let pool = workers - 1;
         let shared = Arc::new(Shared {
-            deques: (0..pool).map(|_| ClDeque::new()).collect(),
-            injectors: (0..pool).map(|_| Injector::new()).collect(),
-            inject_cursor: AtomicUsize::new(0),
-            parked: AtomicUsize::new(0),
-            shutdown: AtomicBool::new(false),
-            idle: Mutex::new(IdleState { epoch: 0 }),
-            idle_cv: Condvar::new(),
+            queue: Mutex::new(Queue {
+                tasks: VecDeque::new(),
+                sleepers: 0,
+                waking: false,
+                shutdown: false,
+            }),
+            queued: AtomicUsize::new(0),
+            wake: Condvar::new(),
         });
-        let threads = (0..pool)
+        let threads = (0..workers - 1)
             .map(|i| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("streamcover-rt-{i}"))
-                    .spawn(move || worker_loop(&shared, i))
+                    .spawn(move || worker_loop(&shared))
                     .expect("spawn runtime worker")
             })
             .collect();
@@ -800,42 +381,6 @@ impl Runtime {
         SEQ.get_or_init(|| Runtime::new(1))
     }
 
-    /// The calling thread's worker index in *this* runtime's pool, if it
-    /// is one of its workers.
-    fn my_worker_index(&self) -> Option<usize> {
-        let shared_addr = ptr::from_ref::<Shared>(&*self.shared) as usize;
-        WORKER_CTX.with(|ctx| match ctx.get() {
-            Some((addr, i)) if addr == shared_addr => Some(i),
-            _ => None,
-        })
-    }
-
-    /// Routes one task to a queue: owner push when called from one of this
-    /// pool's workers, round-robin injection otherwise, inline execution
-    /// as the full-ring backpressure fallback. Lock-free in all cases.
-    fn enqueue(&self, task: Box<Task>) {
-        if let Some(me) = self.my_worker_index() {
-            self.shared.deques[me].push(task);
-            self.shared.notify();
-            return;
-        }
-        let k = self.shared.injectors.len();
-        let start = self.shared.inject_cursor.fetch_add(1, Relaxed);
-        let mut task = task;
-        for off in 0..k {
-            match self.shared.injectors[(start + off) % k].push(task) {
-                Ok(()) => {
-                    self.shared.notify();
-                    return;
-                }
-                Err(back) => task = back,
-            }
-        }
-        // Every ring full: run inline. Structured semantics are
-        // preserved — the task completes before its scope can return.
-        run_task(task);
-    }
-
     /// Opens a structured-submission scope: `f` may spawn borrowing tasks
     /// through the [`Scope`]; when `scope` returns, every spawned task has
     /// completed. If the body or any task panicked, the panic is resumed
@@ -855,13 +400,10 @@ impl Runtime {
         // game: running a foreign task while ours finish elsewhere is
         // still progress (and is what keeps nested submission deadlock-
         // free when every pool worker is busy).
-        if !self.threads.is_empty() {
-            let me = self.my_worker_index();
-            while scope.state.pending.load(Acquire) > 0 {
-                match self.shared.find_task(me) {
-                    Some(task) => run_task(task),
-                    None => break, // nothing runnable: our remainder is mid-flight
-                }
+        while scope.state.pending.load(Acquire) > 0 {
+            match self.shared.pop() {
+                Some(task) => run_task(task),
+                None => break, // nothing queued: our remainder is mid-flight
             }
         }
         scope.state.wait_idle();
@@ -888,13 +430,13 @@ impl Runtime {
     /// when the runtime has any, inline otherwise — returning results in
     /// part order. The one fork/join shape every fan-out in the workspace
     /// routes through; results are independent of the pool size, the
-    /// stealing schedule, and any previous use of the runtime.
+    /// schedule, and any previous use of the runtime.
     pub fn map_parts<P: Sync, T: Send>(
         &self,
         parts: &[P],
         work: impl Fn(&P) -> T + Sync,
     ) -> Vec<T> {
-        if parts.len() <= 1 || self.threads.is_empty() {
+        if parts.len() <= 1 {
             return parts.iter().map(&work).collect();
         }
         let slots: Vec<Mutex<Option<T>>> = parts.iter().map(|_| Mutex::new(None)).collect();
@@ -943,14 +485,14 @@ impl Default for Runtime {
 impl Drop for Runtime {
     fn drop(&mut self) {
         // No scope can be open here (scopes borrow the runtime), so the
-        // queues are empty; shutting down is: raise the flag, bump the
-        // idle epoch so parked workers re-check it, join.
-        self.shared.shutdown.store(true, Release);
-        {
-            let mut idle = self.shared.idle.lock().expect("idle lock poisoned");
-            idle.epoch = idle.epoch.wrapping_add(1);
-        }
-        self.shared.idle_cv.notify_all();
+        // queue is empty; shutting down is: raise the flag under the lock
+        // (a worker deciding to sleep sees it), wake every sleeper, join.
+        // Recovering a poisoned guard is sound: setting the flag leaves
+        // the queue valid, and `Drop` must not panic.
+        let mut q = self.shared.queue.lock().unwrap_or_else(|e| e.into_inner());
+        q.shutdown = true;
+        drop(q);
+        self.shared.wake.notify_all();
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
@@ -1045,9 +587,8 @@ mod tests {
     #[test]
     fn nested_submission_makes_progress() {
         // Outer fan-out saturates the pool; each task fans out again on the
-        // same runtime. The helping discipline (workers run their own
-        // deque, waiters steal) must keep this from deadlocking even with
-        // a single pool thread.
+        // same runtime. The helping discipline (waiters run queued tasks)
+        // must keep this from deadlocking even with a single pool thread.
         let rt = Runtime::new(2);
         let outer: Vec<usize> = (0..8).collect();
         let got = rt.map_parts(&outer, |&o| {
@@ -1077,44 +618,55 @@ mod tests {
     #[test]
     #[should_panic(expected = "boom in task")]
     fn task_panic_propagates_to_submitter() {
-        let rt = Runtime::new(4);
         let parts = [0usize, 1, 2, 3, 4, 5, 6, 7];
-        let _ = rt.map_parts(&parts, |&p| {
-            if p == 5 {
-                panic!("boom in task");
+        for workers in [1, 2, 4] {
+            let rt = Runtime::new(workers);
+            let err = catch_unwind(AssertUnwindSafe(|| {
+                rt.map_parts(&parts, |&p| if p == 5 { panic!("boom in task") } else { p })
+            }))
+            .expect_err("a panicking part must panic the submitter");
+            assert_eq!(payload_text(&err), "boom in task", "workers={workers}");
+            if workers == 4 {
+                resume_unwind(err);
             }
-            p
-        });
+        }
     }
 
     #[test]
     fn sibling_panics_are_counted_not_silently_dropped() {
         // Two deliberately panicking tasks: the resurfaced panic must name
-        // the first payload AND report the suppressed sibling count.
-        let rt = Runtime::new(4);
-        let err = catch_unwind(AssertUnwindSafe(|| {
-            rt.scope(|s| {
-                for i in 0..4 {
-                    s.spawn(move || {
-                        if i < 2 {
-                            panic!("deliberate failure {i}");
-                        }
-                    });
-                }
-            });
-        }))
-        .expect_err("scope with panicking tasks must panic");
-        let msg = payload_text(&err).to_string();
-        assert!(
-            msg.contains("deliberate failure"),
-            "first payload missing from: {msg}"
-        );
-        assert!(
-            msg.contains("1 additional task panic(s) suppressed"),
-            "suppressed count missing from: {msg}"
-        );
-        // The pool is intact afterwards.
-        assert_eq!(rt.map_parts(&[1, 2, 3], |&p: &i32| p * 2), vec![2, 4, 6]);
+        // the first payload AND report the suppressed sibling count — at
+        // every width, the inline 1-worker runtime included.
+        for workers in [1, 2, 4] {
+            let rt = Runtime::new(workers);
+            let ran = AtomicUsize::new(0);
+            let err = catch_unwind(AssertUnwindSafe(|| {
+                rt.scope(|s| {
+                    for i in 0..4 {
+                        let ran = &ran;
+                        s.spawn(move || {
+                            ran.fetch_add(1, Ordering::Relaxed);
+                            if i < 2 {
+                                panic!("deliberate failure {i}");
+                            }
+                        });
+                    }
+                });
+            }))
+            .expect_err("scope with panicking tasks must panic");
+            assert_eq!(ran.load(Ordering::Relaxed), 4, "workers={workers}");
+            let msg = payload_text(&err).to_string();
+            assert!(
+                msg.contains("deliberate failure"),
+                "workers={workers}: first payload missing from: {msg}"
+            );
+            assert!(
+                msg.contains("1 additional task panic(s) suppressed"),
+                "workers={workers}: suppressed count missing from: {msg}"
+            );
+            // The pool is intact afterwards.
+            assert_eq!(rt.map_parts(&[1, 2, 3], |&p: &i32| p * 2), vec![2, 4, 6]);
+        }
     }
 
     #[test]
@@ -1131,14 +683,16 @@ mod tests {
 
     #[test]
     fn pool_survives_a_panicking_submission() {
-        let rt = Runtime::new(4);
         let parts = [0usize, 1, 2, 3];
-        let r = catch_unwind(AssertUnwindSafe(|| {
-            rt.map_parts(&parts, |&p| if p == 2 { panic!("transient") } else { p })
-        }));
-        assert!(r.is_err());
-        // The pool is intact and deterministic afterwards.
-        assert_eq!(rt.map_parts(&parts, |&p| p * 2), vec![0, 2, 4, 6]);
+        for workers in [1, 2, 4] {
+            let rt = Runtime::new(workers);
+            let r = catch_unwind(AssertUnwindSafe(|| {
+                rt.map_parts(&parts, |&p| if p == 2 { panic!("transient") } else { p })
+            }));
+            assert!(r.is_err(), "workers={workers}");
+            // The pool is intact and deterministic afterwards.
+            assert_eq!(rt.map_parts(&parts, |&p| p * 2), vec![0, 2, 4, 6]);
+        }
     }
 
     #[test]
@@ -1179,133 +733,32 @@ mod tests {
     }
 
     #[test]
-    fn cl_deque_owner_order_is_lifo_and_grows() {
-        // Owner-side unit test: push past the initial capacity (forcing a
-        // grow) and pop everything back in LIFO order.
-        let scope = Arc::new(ScopeState::new());
-        let dq = ClDeque::new();
-        let total = DEQUE_INIT_CAP * 3 + 7;
-        let hits = Arc::new(AtomicUsize::new(0));
-        for _ in 0..total {
-            scope.pending.fetch_add(1, Relaxed);
-            let hits = Arc::clone(&hits);
-            dq.push(Box::new(Task {
-                scope: Arc::clone(&scope),
-                run: Box::new(move || {
-                    hits.fetch_add(1, Ordering::Relaxed);
-                }),
-            }));
-        }
-        let mut popped = 0;
-        while let Some(t) = dq.pop() {
-            run_task(t);
-            popped += 1;
-        }
-        assert_eq!(popped, total);
-        assert_eq!(hits.load(Ordering::Relaxed), total);
-        assert_eq!(scope.pending.load(Relaxed), 0);
-        assert!(dq.pop().is_none(), "deque must be empty after draining");
-    }
-
-    #[test]
-    fn cl_deque_steal_and_pop_partition_the_tasks() {
-        // Two threads — the owner popping, one thief stealing — must
-        // partition the tasks exactly: every task runs once.
-        let scope = Arc::new(ScopeState::new());
-        let dq = Arc::new(ClDeque::new());
-        let hits = Arc::new(AtomicUsize::new(0));
-        let total = 10_000usize;
-        for _ in 0..total {
-            scope.pending.fetch_add(1, Relaxed);
-            let hits = Arc::clone(&hits);
-            dq.push(Box::new(Task {
-                scope: Arc::clone(&scope),
-                run: Box::new(move || {
-                    hits.fetch_add(1, Ordering::Relaxed);
-                }),
-            }));
-        }
-        let thief = {
-            let dq = Arc::clone(&dq);
-            std::thread::spawn(move || {
-                let mut got = 0usize;
-                loop {
-                    match dq.steal() {
-                        Steal::Got(t) => {
-                            run_task(t);
-                            got += 1;
-                        }
-                        Steal::Retry => std::hint::spin_loop(),
-                        Steal::Empty => break,
-                    }
-                }
-                got
-            })
-        };
-        let mut owner_got = 0usize;
-        while let Some(t) = dq.pop() {
-            run_task(t);
-            owner_got += 1;
-        }
-        let stolen = thief.join().expect("thief panicked");
-        assert_eq!(owner_got + stolen, total, "no task lost or double-run");
-        assert_eq!(hits.load(Ordering::Relaxed), total);
-    }
-
-    #[test]
-    fn injector_ring_rejects_overflow_and_round_trips() {
-        let scope = Arc::new(ScopeState::new());
-        let inj = Injector::new();
-        let make = || {
-            scope.pending.fetch_add(1, Relaxed);
-            Box::new(Task {
-                scope: Arc::clone(&scope),
-                run: Box::new(|| {}),
-            })
-        };
-        for _ in 0..INJECTOR_CAP {
-            assert!(inj.push(make()).is_ok());
-        }
-        let overflow = inj.push(make());
-        assert!(overflow.is_err(), "ring at capacity must refuse");
-        run_task(overflow.unwrap_err()); // inline fallback path
-        let mut drained = 0;
-        while let Some(t) = inj.pop() {
-            run_task(t);
-            drained += 1;
-        }
-        assert_eq!(drained, INJECTOR_CAP);
-        assert!(inj.pop().is_none());
-        assert_eq!(scope.pending.load(Relaxed), 0);
-    }
-
-    #[test]
-    fn full_injectors_fall_back_to_inline_execution() {
-        // A runtime with one pool thread (one ring): submit far more tasks
-        // than the ring holds while the worker is blocked — every task
-        // must still run exactly once (overflow runs inline).
+    fn tasks_queued_behind_a_blocked_worker_all_run_once() {
+        // A runtime with one pool thread: submit many tasks while the
+        // worker is blocked on a gate — every task must still run exactly
+        // once (the submitter drains the queue while its scope waits).
+        const TASKS: usize = 512;
         let rt = Runtime::new(2);
-        let gate = Arc::new((Mutex::new(false), Condvar::new()));
-        let hits = AtomicUsize::new(0);
+        let gate = std::sync::Barrier::new(2);
+        let hits: Vec<AtomicUsize> = (0..TASKS).map(|_| AtomicUsize::new(0)).collect();
         rt.scope(|s| {
-            // Park the pool worker behind a gate so the ring stays full.
-            let g = Arc::clone(&gate);
+            let gate = &gate;
+            // Only the pool worker can run this task while the body is
+            // still running, so between the body's two waits it is blocked.
             s.spawn(move || {
-                let (lock, cv) = &*g;
-                let mut open = lock.lock().unwrap();
-                while !*open {
-                    open = cv.wait(open).unwrap();
-                }
+                gate.wait();
+                gate.wait();
             });
-            for _ in 0..INJECTOR_CAP * 2 {
-                s.spawn(|| {
-                    hits.fetch_add(1, Ordering::Relaxed);
+            gate.wait();
+            for hit in &hits {
+                s.spawn(move || {
+                    hit.fetch_add(1, Ordering::Relaxed);
                 });
             }
-            let (lock, cv) = &*gate;
-            *lock.lock().unwrap() = true;
-            cv.notify_all();
+            gate.wait();
         });
-        assert_eq!(hits.load(Ordering::Relaxed), INJECTOR_CAP * 2);
+        for (i, hit) in hits.iter().enumerate() {
+            assert_eq!(hit.load(Ordering::Relaxed), 1, "task {i}");
+        }
     }
 }

@@ -4,10 +4,10 @@
 //! (PODS 2017) within it.
 //!
 //! Substrate:
-//! * [`runtime`] — the unified execution API: a persistent lock-free
-//!   work-stealing [`runtime::Runtime`] pool (Chase–Lev deques,
-//!   re-exported from `streamcover-core`) that every fan-out submits
-//!   to, and the [`runtime::ExecPolicy`] builder
+//! * [`runtime`] — the unified execution API: a persistent
+//!   [`runtime::Runtime`] pool (one shared task queue, re-exported from
+//!   `streamcover-core`) that every fan-out submits to, and the
+//!   [`runtime::ExecPolicy`] builder
 //!   holding *all* execution configuration (`workers`, `guess_workers`,
 //!   accounting, seed).
 //!   Algorithms take both through `run_in`; the legacy `run` delegates to

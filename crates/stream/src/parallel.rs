@@ -1,7 +1,7 @@
 //! Thread-parallel execution of one stream pass.
 //!
 //! A [`ParallelPass`] fans a pass out over chunks of the arrival order on a
-//! persistent [`Runtime`] pool — work items on parked, stealing workers
+//! persistent [`Runtime`] pool — work items on long-lived pool workers
 //! instead of one `std::thread::scope` spawn per pass (no external
 //! dependencies; the pool is `std` only). Each worker reads sets through
 //! the `Copy` view `SetRef` — borrowed data, no cloning — and owns a

@@ -9,10 +9,9 @@
 //! `std::thread::scope` spawn. Now:
 //!
 //! * the [`Runtime`] (re-exported from `streamcover-core`) owns the
-//!   persistent pool every fan-out executes on — per-worker Chase–Lev
-//!   work-stealing deques and bounded injector rings, so the task fast
-//!   path takes no lock (see `streamcover-core::runtime` for the
-//!   memory-ordering argument) — and
+//!   persistent pool every fan-out executes on — one FIFO task queue
+//!   behind one lock, with idle workers sleeping on a condvar (see
+//!   `streamcover-core::runtime`) — and
 //! * the [`ExecPolicy`] builder holds *all* execution configuration:
 //!   per-pass fan-out (`workers`), guess-grid fan-out (`guess_workers`),
 //!   space accounting, and an optional run seed. Systems a run builds

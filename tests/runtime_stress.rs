@@ -1,9 +1,12 @@
-//! Scheduler stress battery for the lock-split work-stealing `Runtime`:
-//! nested scopes under concurrent external submitters, panic propagation
-//! while thieves are mid-steal, shutdown racing the backoff/park protocol,
-//! and a property test interleaving spawn/steal/park across pool widths —
-//! all asserting **no task is lost and none runs twice** via per-task
-//! completion counters.
+//! Scheduler stress battery for the pooled `Runtime` (one shared task
+//! queue, idle workers sleeping on a condvar): nested scopes under
+//! concurrent external submitters, panic propagation while workers are
+//! mid-pickup, shutdown racing the idle backoff and sleep, and a property
+//! test interleaving spawn/pickup/sleep across pool widths — all asserting
+//! **no task is lost and none runs twice** via per-task completion
+//! counters. In the test names and comments, a worker "steals" when it
+//! takes a task off the shared queue, "parks" when it sleeps on the
+//! condvar, and the "injector" is that queue.
 
 use proptest::prelude::*;
 use proptest::TestCaseError;
