@@ -15,7 +15,7 @@ fn arb_instance() -> impl Strategy<Value = (usize, Vec<Vec<usize>>, Vec<usize>, 
             Just(n),
             proptest::collection::vec(proptest::collection::vec(0usize..n, 0..n), m),
             proptest::collection::vec(0usize..n, 0..n),
-            1usize..7,
+            1usize..9,
         )
     })
 }

@@ -31,8 +31,8 @@
 //! strengthened: solution, passes and peak bits are identical to the
 //! sequential run at **every pool size and fan-out width, and across
 //! repeated [`Runtime`] reuse** — a pool run warm by one algorithm hands
-//! the next one bit-identical results (gated by
-//! `tests/parallel_invariance.rs` and the `substrate_bench` runtime arm).
+//! the next one bit-identical results (gated by pooled-vs-fresh runs at
+//! 2/4/8 workers in `tests/parallel_invariance.rs`).
 
 use crate::meter::Accounting;
 use rand::rngs::StdRng;

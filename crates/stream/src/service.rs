@@ -33,7 +33,7 @@
 //! gated by `tests/service_invariance.rs` (1/2/4/8 threads of interleaved
 //! queries and mutations, replayed sequentially per epoch), the
 //! cache-correctness proptest in `tests/service_cache.rs`, and the
-//! `substrate_bench` service arm.
+//! answer replay in perfbench's `service_zipf` workload.
 //!
 //! Consistency model: queries take the resident system's read lock for the
 //! duration of the computation and mutations take the write lock, so every

@@ -33,6 +33,14 @@ fn workloads() -> Vec<(&'static str, SetSystem)> {
     out
 }
 
+/// A planted instance of 2048 sets over 2048 elements, so the candidate
+/// filter fans out over shards of hundreds of sets rather than the
+/// handful `workloads()` gives each worker.
+fn wide_workload() -> SetSystem {
+    let mut rng = StdRng::seed_from_u64(2048);
+    planted_cover(&mut rng, 2048, 2048, 16).system
+}
+
 fn runs_match(name: &str, algo_name: &str, base: &CoverRun, run: &CoverRun, workers: usize) {
     assert_eq!(
         run.solution, base.solution,
@@ -52,15 +60,23 @@ fn shared_pool_matches_sequential_on_every_workload() {
     // order and fan-out width reuses the same warm pool. Each pooled
     // report must equal both the sequential baseline and a fresh-runtime
     // run of the identical configuration.
+    // The wide workload runs threshold greedy alone: online-prune's
+    // accept waves and store-all's exact solve are too slow for a debug
+    // test at that size.
     let shared = Runtime::new(4);
-    for (name, sys) in &workloads() {
+    let mut cases: Vec<(&str, SetSystem, usize)> = workloads()
+        .into_iter()
+        .map(|(name, sys)| (name, sys, 3))
+        .collect();
+    cases.push(("wide", wide_workload(), 1));
+    for (name, sys, algo_count) in &cases {
         for arrival in [Arrival::Adversarial, Arrival::Random { seed: 5 }] {
             let algos: Vec<(&str, Box<dyn SetCoverStreamer>)> = vec![
                 ("threshold-greedy", Box::new(ThresholdGreedy)),
                 ("online-prune", Box::new(OnlinePrune)),
                 ("store-all", Box::new(StoreAll::default())),
             ];
-            for (algo_name, algo) in &algos {
+            for (algo_name, algo) in &algos[..*algo_count] {
                 let mut rng = StdRng::seed_from_u64(1);
                 let base = algo.run(sys, arrival, &mut rng);
                 for workers in [2, 4, 8] {

@@ -241,7 +241,7 @@ proptest! {
 
     #[test]
     fn spawn_steal_park_interleavings_lose_nothing(
-        workers in 2usize..9,
+        workers in 1usize..9,
         shape in proptest::collection::vec((1usize..24, 0usize..3), 1..12),
     ) {
         check_interleaving(workers, shape)?;
