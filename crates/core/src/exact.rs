@@ -1,22 +1,40 @@
 //! Exact solvers, used to evaluate `opt(S, T)` on the paper's hard
-//! distributions (Lemma 3.2, Lemma 4.3) and as ground truth in tests.
+//! distributions (Lemma 3.2, Lemma 4.3), as Algorithm 1's offline oracle
+//! and as ground truth in tests.
 //!
-//! * [`exact_set_cover`] — branch-and-bound over the least-covered-element
-//!   rule with greedy upper bounds and a density lower bound.
-//! * [`decide_opt_at_most`] — the decision variant `opt ≤ B` (cheaper: the
-//!   bound prunes the search immediately), which is exactly what Lemma 3.2's
-//!   experiment needs (`opt ≤ 2α`?).
+//! * [`cover_within`] — the one set-cover search: branch and bound over the
+//!   least-covered-element rule, seeded with greedy's cover, pruned by the
+//!   bound `⌈|uncovered| / max_i |S_i ∩ T|⌉` and capped at `k` picks. The
+//!   wrappers [`exact_set_cover`], [`exact_cover_of`] and
+//!   [`budgeted_cover_of`] run it uncapped; [`decide_opt_at_most`] — the
+//!   decision variant `opt ≤ B` that Lemma 3.2's experiment needs
+//!   (`opt ≤ 2α`?) — runs it capped at `B`.
 //! * [`exact_max_coverage`] — exact max-k-cover by pruned enumeration, for
 //!   the small `k` (the paper's hard instances use `k = 2`).
+//!
+//! At entry the search maps the target `T`'s elements to `0..|T|` in
+//! increasing order and stores each set meeting `T` as one row `S_i ∩ T`
+//! of `⌈|T|/64⌉` words: a bitmap-only system over `0..|T|` that greedy's
+//! incumbent runs on unchanged. A CSR element→row index (offsets, then rows
+//! in increasing set id) sits beside it. That costs at most
+//! `m × ⌈|T|/64⌉` words per call — 4 MiB for 8192 sets over a 4096-element
+//! target. After setup nothing reads the original sets. Each search depth
+//! owns one residual buffer, written as `parent & !row`, and branch gains
+//! are word-AND popcounts, so a node allocates nothing. A target element
+//! in no row is the infeasibility witness, read off the index.
 //!
 //! These run in exponential time in the worst case; all experiment configs
 //! keep the exact calls at sizes where they terminate in milliseconds.
 
 use crate::bitset::BitSet;
 use crate::greedy::greedy_cover_until;
-use crate::store::BatchedSweep;
+use crate::store::{ReprPolicy, SetRef};
 use crate::system::{SetId, SetSystem};
+use std::cmp::Reverse;
 use std::fmt;
+
+#[cfg(test)]
+mod reference;
 
 /// Typed failure of a cover computation — the panic-free solver surface.
 ///
@@ -59,46 +77,136 @@ impl ExactCover {
     }
 }
 
+/// The sets restricted to a target `T`, relabelled onto `0..|T|`.
+struct Matrix {
+    /// Words per row, `⌈|T|/64⌉`.
+    w: usize,
+    /// Row `r` is the relabelled `S_i ∩ T` of set `row_ids[r]`, stored as
+    /// a bitmap over `0..|T|` so greedy runs on it as on any system.
+    rows: SetSystem,
+    /// Set id of each row, increasing (sets missing `T` get no row).
+    row_ids: Vec<SetId>,
+    /// CSR index: the rows containing element `c` are
+    /// `rows_of[offsets[c]..offsets[c + 1]]`, in increasing order.
+    offsets: Vec<u32>,
+    rows_of: Vec<u32>,
+    /// `max_i |S_i ∩ T|`.
+    max_row: usize,
+}
+
+impl Matrix {
+    /// Builds the rows and index for a nonempty `target`, or names the
+    /// smallest target element that no set contains.
+    fn build(sys: &SetSystem, target: &BitSet) -> Result<Matrix, CoverError> {
+        let t = target.len();
+        // Relabelling is a rank query: elements of T before word j, plus
+        // the lower bits of word j.
+        let tw = target.words();
+        let mut before = Vec::with_capacity(tw.len());
+        let mut acc = 0u32;
+        for &word in tw {
+            before.push(acc);
+            acc += word.count_ones();
+        }
+        // One walk over the sets: relabelled elements per row, and each
+        // element's frequency.
+        let mut flat: Vec<u32> = Vec::new();
+        let mut starts: Vec<usize> = Vec::new();
+        let mut row_ids = Vec::new();
+        let mut offsets = vec![0u32; t + 1];
+        for (i, s) in sys.iter() {
+            let start = flat.len();
+            for e in s.iter() {
+                let word = tw[e / 64];
+                let bit = 1u64 << (e % 64);
+                if word & bit != 0 {
+                    let c = before[e / 64] + (word & (bit - 1)).count_ones();
+                    flat.push(c);
+                    offsets[c as usize + 1] += 1;
+                }
+            }
+            if flat.len() > start {
+                starts.push(start);
+                row_ids.push(i);
+            }
+        }
+        starts.push(flat.len());
+        if let Some(c) = (0..t).find(|&c| offsets[c + 1] == 0) {
+            let element = target.iter().nth(c).expect("c < |T|");
+            return Err(CoverError::Infeasible { element });
+        }
+        for c in 0..t {
+            offsets[c + 1] += offsets[c];
+        }
+        // Fill rows and the index in increasing row order.
+        let mut rows = SetSystem::with_policy(t, ReprPolicy::ForceDense);
+        let mut rows_of = vec![0u32; flat.len()];
+        let mut cursor = offsets[..t].to_vec();
+        let mut max_row = 0;
+        for (r, span) in starts.windows(2).enumerate() {
+            let elems = &flat[span[0]..span[1]];
+            rows.push_sorted(elems);
+            for &c in elems {
+                rows_of[cursor[c as usize] as usize] = r as u32;
+                cursor[c as usize] += 1;
+            }
+            max_row = max_row.max(elems.len());
+        }
+        Ok(Matrix {
+            w: t.div_ceil(64),
+            rows,
+            row_ids,
+            offsets,
+            rows_of,
+            max_row,
+        })
+    }
+
+    fn row(&self, r: u32) -> &[u64] {
+        match self.rows.set(r as usize) {
+            SetRef::Dense { words, .. } => words,
+            _ => unreachable!("rows are stored dense"),
+        }
+    }
+}
+
 struct Searcher<'a> {
-    sys: &'a SetSystem,
-    /// Best (smallest) feasible solution found so far.
-    best: Vec<SetId>,
-    /// Upper bound on useful solution size: we prune branches ≥ this.
+    mx: &'a Matrix,
+    /// Best (smallest) cover of at most `cap` sets found so far.
+    best: Option<Vec<SetId>>,
+    /// Branches reaching this many picks are pruned.
     best_len: usize,
-    /// Hard cap: never search deeper than this many picks (decision mode).
+    /// Hard cap: never search deeper than this many picks.
     cap: usize,
-    /// Sets sorted by decreasing size — used to lower-bound remaining picks.
-    sizes_desc: Vec<usize>,
-    /// `sets_containing[e]` = ids of the sets containing element `e`
-    /// (static: picking sets never changes which sets exist).
-    sets_containing: Vec<Vec<SetId>>,
-    /// Scratch buffer for batched candidate-gain sweeps.
-    sweep: BatchedSweep,
+    /// Level `d` is the residual after the `d` picks in `chosen`.
+    resid: Vec<u64>,
+    /// Rows picked on the current path.
+    chosen: Vec<u32>,
+    /// `(row, gain)` candidates of every open node, stacked by depth.
+    cands: Vec<(u32, u32)>,
     nodes: u64,
     node_budget: u64,
     budget_hit: bool,
 }
 
-impl<'a> Searcher<'a> {
-    fn lower_bound(&self, uncovered: usize) -> usize {
-        // At best each further pick covers max set size elements.
-        let max_sz = *self.sizes_desc.first().unwrap_or(&0);
-        if max_sz == 0 {
-            return usize::MAX;
-        }
-        uncovered.div_ceil(max_sz)
-    }
-
-    fn search(&mut self, uncovered: &BitSet, chosen: &mut Vec<SetId>) {
+impl Searcher<'_> {
+    /// Explores the node at `depth = chosen.len()` with `left` target
+    /// elements uncovered.
+    fn search(&mut self, depth: usize, left: usize) {
         self.nodes += 1;
         if self.nodes > self.node_budget {
             self.budget_hit = true;
             return;
         }
-        if uncovered.is_empty() {
-            if chosen.len() < self.best_len {
-                self.best_len = chosen.len();
-                self.best = chosen.clone();
+        if left == 0 {
+            if depth < self.best_len {
+                self.best_len = depth;
+                self.best = Some(
+                    self.chosen
+                        .iter()
+                        .map(|&r| self.mx.row_ids[r as usize])
+                        .collect(),
+                );
             }
             return;
         }
@@ -106,99 +214,122 @@ impl<'a> Searcher<'a> {
             .best_len
             .min(self.cap.saturating_add(1))
             .saturating_sub(1);
-        if chosen.len() >= depth_limit {
+        // At best each further pick covers `max_row` elements (≥ 1: every
+        // target element lies in some row).
+        if depth >= depth_limit || depth + left.div_ceil(self.mx.max_row) > depth_limit {
             return;
         }
-        if chosen
-            .len()
-            .saturating_add(self.lower_bound(uncovered.len()))
-            > depth_limit
-        {
-            return;
-        }
+        let w = self.mx.w;
+        let offsets = &self.mx.offsets;
+        let freq = |c: usize| (offsets[c + 1] - offsets[c]) as usize;
         // Branch on an uncovered element contained in few sets: every cover
         // must include one of those sets, keeping the branching factor at
         // the element's (static) frequency. Scanning all uncovered elements
         // is O(n) per node; the first few hundred give an almost-minimal
         // pivot at a fraction of the cost on large universes.
         const PIVOT_SCAN: usize = 256;
-        let mut pivot: Option<(usize, usize)> = None; // (element, frequency)
-        for e in uncovered.iter().take(PIVOT_SCAN) {
-            let freq = self.sets_containing[e].len();
-            if freq == 0 {
-                return; // element uncoverable ⇒ dead end
-            }
-            match pivot {
-                Some((_, f)) if f <= freq => {}
-                _ => pivot = Some((e, freq)),
-            }
-            if freq == 1 {
-                break; // cannot do better than a forced pick
+        let residual = &self.resid[depth * w..(depth + 1) * w];
+        let mut pivot = (usize::MAX, usize::MAX); // (element, frequency)
+        let mut scanned = 0;
+        'scan: for (j, &word) in residual.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let c = j * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                if freq(c) < pivot.1 {
+                    pivot = (c, freq(c));
+                }
+                scanned += 1;
+                // A forced pick (frequency 1) cannot be beaten.
+                if pivot.1 == 1 || scanned == PIVOT_SCAN {
+                    break 'scan;
+                }
             }
         }
-        let (elem, _) = pivot.expect("uncovered nonempty");
+        let elem = pivot.0;
         // Candidate sets containing the pivot, largest marginal gain first
-        // (finds good solutions early ⇒ tighter pruning). Gains come from
-        // one batched sweep over the candidates' arena slices.
-        let ids = &self.sets_containing[elem];
-        let gains = self.sweep.gains_for(self.sys.store(), ids, uncovered);
-        let mut cands: Vec<(SetId, usize)> = ids.iter().zip(gains).map(|(&i, &g)| (i, g)).collect();
-        cands.sort_by_key(|&(_, gain)| std::cmp::Reverse(gain));
-        for (i, _) in cands {
-            let mut next = uncovered.clone();
-            next.difference_with_ref(self.sys.set(i));
-            chosen.push(i);
-            self.search(&next, chosen);
-            chosen.pop();
+        // (finds good solutions early ⇒ tighter pruning); the stable sort
+        // keeps increasing ids among equal gains.
+        let base = self.cands.len();
+        for &r in &self.mx.rows_of[offsets[elem] as usize..offsets[elem + 1] as usize] {
+            let gain: u32 = self
+                .mx
+                .row(r)
+                .iter()
+                .zip(residual)
+                .map(|(a, b)| (a & b).count_ones())
+                .sum();
+            self.cands.push((r, gain));
+        }
+        self.cands[base..].sort_by_key(|&(_, gain)| Reverse(gain));
+        for j in base..self.cands.len() {
+            let (r, gain) = self.cands[j];
+            let (parent, child) = self.resid.split_at_mut((depth + 1) * w);
+            let parent = &parent[depth * w..];
+            for ((c, p), s) in child[..w].iter_mut().zip(parent).zip(self.mx.row(r)) {
+                *c = p & !s;
+            }
+            self.chosen.push(r);
+            self.search(depth + 1, left - gain as usize);
+            self.chosen.pop();
             if self.budget_hit {
-                return;
+                break;
             }
         }
+        self.cands.truncate(base);
     }
 }
 
-fn run_search(
+/// Searches for a minimum cover of `target ⊆ [n]` using at most `k` sets —
+/// the question Algorithm 1's step 3(c) asks of the stored projections
+/// `S'_i = S_i ∩ U_smpl`, with `k = o͂pt`.
+///
+/// Returns the cover (`Ok(None)` if none of at most `k` sets was found)
+/// and whether the search completed within `node_budget` nodes. A
+/// completed search is exact: it returns a minimum cover iff `opt ≤ k`,
+/// and then the same ids as the uncapped search. Returns
+/// [`CoverError::Infeasible`] naming the smallest target element in no
+/// set.
+pub fn cover_within(
     sys: &SetSystem,
     target: &BitSet,
-    cap: usize,
+    k: usize,
     node_budget: u64,
-) -> (Result<Vec<SetId>, CoverError>, bool) {
+) -> (Result<Option<Vec<SetId>>, CoverError>, bool) {
     if target.is_empty() {
-        return (Ok(Vec::new()), false);
+        return (Ok(Some(Vec::new())), true);
     }
-    let all: Vec<SetId> = (0..sys.len()).collect();
-    let coverable = sys.coverage(&all);
-    if !target.is_subset_of(&coverable) {
-        let element = target
-            .iter()
-            .find(|&e| !coverable.contains(e))
-            .expect("a witness element exists when target ⊄ coverage");
-        return (Err(CoverError::Infeasible { element }), false);
-    }
-    // Seed the incumbent with greedy (feasible by coverability).
-    let greedy = greedy_cover_until(sys, usize::MAX, target);
-    let mut sizes_desc: Vec<usize> = sys.iter().map(|(_, s)| s.len()).collect();
-    sizes_desc.sort_unstable_by(|a, b| b.cmp(a));
-    let mut sets_containing: Vec<Vec<SetId>> = vec![Vec::new(); sys.universe()];
-    for (i, s) in sys.iter() {
-        for e in s.iter() {
-            sets_containing[e].push(i);
-        }
-    }
+    let mx = match Matrix::build(sys, target) {
+        Ok(mx) => mx,
+        Err(e) => return (Err(e), true),
+    };
+    // Seed the incumbent with greedy's first k picks, when they cover.
+    // Rows keep the sets' order, so greedy on the rows picks the same sets.
+    let all = BitSet::full(target.len());
+    let greedy = greedy_cover_until(&mx.rows, k, &all);
+    let best = greedy
+        .is_feasible()
+        .then(|| greedy.ids.iter().map(|&r| mx.row_ids[r]).collect());
+    let best_len = best.as_ref().map_or(usize::MAX, Vec::len);
+    // Depth never exceeds the initial limit, which is at most |T|: greedy
+    // covers T in at most |T| picks, or fails within k < |T| picks.
+    let levels = best_len.min(k.saturating_add(1));
+    let mut resid = vec![0u64; levels * mx.w];
+    resid[..mx.w].copy_from_slice(all.words());
     let mut s = Searcher {
-        sys,
-        best_len: greedy.ids.len(),
-        best: greedy.ids,
-        cap,
-        sizes_desc,
-        sets_containing,
-        sweep: BatchedSweep::new(),
+        mx: &mx,
+        best,
+        best_len,
+        cap: k,
+        resid,
+        chosen: Vec::new(),
+        cands: Vec::new(),
         nodes: 0,
         node_budget,
         budget_hit: false,
     };
-    s.search(target, &mut Vec::new());
-    (Ok(s.best), s.budget_hit)
+    s.search(0, target.len());
+    (Ok(s.best), !s.budget_hit)
 }
 
 /// Computes a minimum set cover exactly by branch and bound.
@@ -211,11 +342,10 @@ pub fn exact_set_cover(sys: &SetSystem) -> Result<ExactCover, CoverError> {
     exact_cover_of(sys, &BitSet::full(sys.universe()))
 }
 
-/// Computes a minimum collection of sets covering `target ⊆ [n]` exactly —
-/// the oracle Algorithm 1 invokes on the sampled sub-universe `U_smpl`
-/// (step 3c; computation time is unrestricted in the streaming model).
+/// Computes a minimum collection of sets covering `target ⊆ [n]` exactly
+/// (uncapped [`cover_within`]).
 pub fn exact_cover_of(sys: &SetSystem, target: &BitSet) -> Result<ExactCover, CoverError> {
-    run_search(sys, target, usize::MAX, u64::MAX)
+    budgeted_cover_of(sys, target, u64::MAX)
         .0
         .map(|ids| ExactCover { ids })
 }
@@ -228,8 +358,9 @@ pub fn budgeted_cover_of(
     target: &BitSet,
     node_budget: u64,
 ) -> (Result<Vec<SetId>, CoverError>, bool) {
-    let (best, budget_hit) = run_search(sys, target, usize::MAX, node_budget);
-    (best, !budget_hit)
+    let (best, complete) = cover_within(sys, target, usize::MAX, node_budget);
+    let best = best.map(|ids| ids.expect("uncapped, greedy's cover is the incumbent"));
+    (best, complete)
 }
 
 /// Answer of the bounded decision procedure [`decide_opt_at_most`].
@@ -250,14 +381,13 @@ pub enum Decision {
 /// budget ran out with no witness found.
 pub fn decide_opt_at_most(sys: &SetSystem, bound: usize, node_budget: u64) -> Decision {
     // Fast path: greedy against the bound.
-    let g = greedy_cover_until(sys, bound, &BitSet::full(sys.universe()));
-    if g.is_feasible() {
+    let full = BitSet::full(sys.universe());
+    if greedy_cover_until(sys, bound, &full).is_feasible() {
         return Decision::Yes;
     }
-    let (best, budget_hit) = run_search(sys, &BitSet::full(sys.universe()), bound, node_budget);
-    match best {
-        Ok(ids) if ids.len() <= bound && sys.is_cover(&ids) => Decision::Yes,
-        _ if budget_hit => Decision::Unknown,
+    match cover_within(sys, &full, bound, node_budget) {
+        (Ok(Some(_)), _) => Decision::Yes,
+        (_, false) => Decision::Unknown,
         _ => Decision::No,
     }
 }
@@ -367,12 +497,11 @@ mod tests {
         assert!(demo().is_cover(&r.ids));
     }
 
-    #[test]
-    fn exact_beats_greedy_on_trap() {
-        // Classic instance family where greedy uses Θ(log n) · opt sets.
-        // Universe 0..14; opt = 2 (two rows of 7). Columns of sizes 8,4,2
-        // bait greedy.
-        let sys = SetSystem::from_elements(
+    /// Classic instance family where greedy uses Θ(log n) · opt sets.
+    /// Universe 0..14; opt = 2 (two rows of 7). Columns of sizes 8,4,2
+    /// bait greedy.
+    fn trap() -> SetSystem {
+        SetSystem::from_elements(
             14,
             &[
                 (0..7).collect(),
@@ -381,7 +510,12 @@ mod tests {
                 vec![4, 5, 11, 12],
                 vec![6, 13],
             ],
-        );
+        )
+    }
+
+    #[test]
+    fn exact_beats_greedy_on_trap() {
+        let sys = trap();
         let g = greedy_set_cover(&sys);
         let e = exact_set_cover(&sys).expect("coverable");
         assert_eq!(e.size(), 2);
@@ -424,13 +558,17 @@ mod tests {
             .map(|_| (0..n).filter(|_| rng.gen_bool(0.08)).collect())
             .collect();
         let mut sys = SetSystem::from_elements(n, &sets);
-        sys.push(crate::bitset::BitSet::full(n)); // make it coverable
-                                                  // bound 0 with coverable instance: never Yes, search trivially No.
+        // Make it coverable. Bound 0 on a coverable instance: never Yes.
+        sys.push(crate::bitset::BitSet::full(n));
         assert_ne!(decide_opt_at_most(&sys, 0, 10), Decision::Yes);
-        // With budget 1 on a nontrivial bound the search may be Unknown or
-        // resolve; it must never claim No incorrectly when a cover exists.
+        // It must never claim No incorrectly when a cover exists.
         let d = decide_opt_at_most(&sys, 1, u64::MAX);
         assert_eq!(d, Decision::Yes, "full set exists ⇒ opt = 1");
+        // On the trap greedy needs 3 sets and opt = 2, so the greedy fast
+        // path fails and a 1-node budget trips before any witness of 2.
+        assert_eq!(decide_opt_at_most(&trap(), 2, 1), Decision::Unknown);
+        assert_eq!(decide_opt_at_most(&trap(), 2, u64::MAX), Decision::Yes);
+        assert_eq!(decide_opt_at_most(&trap(), 1, u64::MAX), Decision::No);
     }
 
     #[test]
@@ -525,6 +663,78 @@ mod tests {
                 brute,
                 "trial {trial}"
             );
+        }
+    }
+    /// Random small instances for the differential test: a target that may
+    /// be any subset of the universe (so sets stick out of it and it may be
+    /// uncoverable), empty sets, and an optional duplicate of set 0. Sets
+    /// are sparse, so greedy is often suboptimal and the search's branch
+    /// order decides the ids.
+    fn arb_instance() -> impl proptest::Strategy<Value = (SetSystem, BitSet)> {
+        use proptest::prelude::*;
+        (1usize..15, 0usize..11).prop_flat_map(|(n, m)| {
+            (
+                proptest::collection::vec(proptest::collection::vec(0usize..n, 0..n / 2 + 2), m),
+                proptest::collection::vec(0u8..4, n),
+                proptest::bool::ANY,
+            )
+                .prop_map(move |(mut lists, keep, dup)| {
+                    if dup && !lists.is_empty() {
+                        lists.push(lists[0].clone());
+                    }
+                    let sys = SetSystem::from_elements(n, &lists);
+                    // Three in four elements are in the target.
+                    let target = BitSet::from_iter(n, (0..n).filter(|&e| keep[e] != 0));
+                    (sys, target)
+                })
+        })
+    }
+
+    /// Minimum number of sets covering `target`, by enumerating subsets.
+    fn brute_opt(sys: &SetSystem, target: &BitSet) -> Option<usize> {
+        (0u32..1 << sys.len())
+            .filter_map(|mask| {
+                let ids: Vec<SetId> = (0..sys.len()).filter(|i| mask >> i & 1 == 1).collect();
+                target
+                    .is_subset_of(&sys.coverage(&ids))
+                    .then_some(ids.len())
+            })
+            .min()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn cover_within_matches_reference_and_bruteforce(inst in arb_instance()) {
+            use proptest::{prop_assert, prop_assert_eq};
+            let (sys, target) = inst;
+            // Ids are byte-identical to the reference search.
+            let (expect, _) = reference::run_search(&sys, &target, usize::MAX, u64::MAX);
+            let got = exact_cover_of(&sys, &target).map(|c| c.ids);
+            prop_assert_eq!(&got, &expect);
+            // The size is the optimum.
+            let opt = brute_opt(&sys, &target);
+            prop_assert_eq!(got.as_ref().ok().map(Vec::len), opt);
+            let full_opt = brute_opt(&sys, &BitSet::full(sys.universe()));
+            // Capped at k: a cover of ≤ k sets iff opt ≤ k, and then the
+            // uncapped ids.
+            for k in 0..=sys.len() + 1 {
+                let (within, complete) = cover_within(&sys, &target, k, u64::MAX);
+                prop_assert!(complete);
+                match (&got, within) {
+                    (Err(e), within) => prop_assert_eq!(within, Err(*e)),
+                    (Ok(ids), Ok(within)) => {
+                        let fits = ids.len() <= k;
+                        prop_assert_eq!(within.as_ref(), fits.then_some(ids), "k = {}", k);
+                    }
+                    (Ok(_), Err(e)) => prop_assert!(false, "k = {}: spurious {}", k, e),
+                }
+                // The decision variant over the whole universe.
+                let yes = full_opt.is_some_and(|o| o <= k);
+                let expect = if yes { Decision::Yes } else { Decision::No };
+                prop_assert_eq!(decide_opt_at_most(&sys, k, u64::MAX), expect, "k = {}", k);
+            }
         }
     }
 }

@@ -82,8 +82,8 @@ pub mod system;
 
 pub use bitset::{bernoulli_elems, bernoulli_subset, random_subset, random_subset_elems, BitSet};
 pub use exact::{
-    budgeted_cover_of, decide_opt_at_most, exact_cover_of, exact_max_coverage, exact_set_cover,
-    CoverError, Decision, ExactCover,
+    budgeted_cover_of, cover_within, decide_opt_at_most, exact_cover_of, exact_max_coverage,
+    exact_set_cover, CoverError, Decision, ExactCover,
 };
 pub use fractional::{dual_fitting_bound, mwu_fractional_cover, DualBound, FractionalCover};
 pub use greedy::{

@@ -34,9 +34,7 @@ use crate::runtime::{ExecPolicy, Runtime};
 use crate::stream::{Arrival, SetStream};
 use rand::rngs::StdRng;
 use rand::Rng;
-use streamcover_core::{
-    budgeted_cover_of, ceil_log2, greedy_cover_until, BitSet, SetId, SetSystem,
-};
+use streamcover_core::{ceil_log2, cover_within, greedy_cover_until, BitSet, SetId, SetSystem};
 
 /// Which pruning discipline to run before/within the sampling rounds.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -66,10 +64,16 @@ pub enum SamplingRate {
 /// How the offline oracle on the sampled instance is realized.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum InnerSolver {
-    /// Exact branch-and-bound with a node budget, falling back to greedy's
-    /// incumbent when the budget trips (keeps the `(α+ε)` guarantee
-    /// whenever the search completes — it virtually always does at our
-    /// scales because the sampled instances have tiny covers).
+    /// Exact branch-and-bound ([`cover_within`]) capped at `k = o͂pt` picks,
+    /// run over the sampled sub-universe: `U_smpl` is relabelled onto
+    /// `0..|U_smpl|` and each stored projection becomes one row of
+    /// `⌈|U_smpl|/64⌉` words, at most `m × ⌈|U_smpl|/64⌉` words per call.
+    /// The cap prunes every branch past `k` picks, since a larger cover is
+    /// discarded anyway. When the node budget trips, the round keeps the
+    /// best cover of at most `k` sets found so far (greedy's, at worst).
+    /// The `(α+ε)` guarantee holds whenever the search completes, which it
+    /// virtually always does at our scales because the sampled instances
+    /// have tiny covers.
     Exact {
         /// Search-node budget per round.
         node_budget: u64,
@@ -109,8 +113,9 @@ pub struct HarPeledAssadi {
 }
 
 impl HarPeledAssadi {
-    /// The paper's configuration: one-shot pruning, fine sampling, exact
-    /// oracle, `c = 16`.
+    /// The paper's configuration: one-shot pruning, fine sampling, `c = 16`,
+    /// and the exact oracle capped at `k` picks on the compact bit-matrix
+    /// of the sample (see [`InnerSolver::Exact`]).
     pub fn paper(alpha: usize, eps: f64) -> Self {
         assert!(alpha >= 1, "α ≥ 1 required");
         assert!(eps > 0.0 && eps <= 1.0, "ε ∈ (0,1] required");
@@ -268,9 +273,7 @@ impl HarPeledAssadi {
     fn solve_sample(&self, projected: &SetSystem, target: &BitSet, k: usize) -> Option<Vec<SetId>> {
         match self.solver {
             InnerSolver::Exact { node_budget } => {
-                let (ids, _complete) = budgeted_cover_of(projected, target, node_budget);
-                let ids = ids.ok()?;
-                (ids.len() <= k && target.is_subset_of(&projected.coverage(&ids))).then_some(ids)
+                cover_within(projected, target, k, node_budget).0.ok()?
             }
             InnerSolver::Greedy => {
                 let r = greedy_cover_until(projected, k, target);
