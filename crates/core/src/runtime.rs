@@ -2,7 +2,7 @@
 //! behind a structured-submission API.
 //!
 //! Every fan-out in the workspace used to pay a fresh `std::thread::scope`
-//! spawn per pass/wave/shard; a [`Runtime`] amortizes that cost by keeping
+//! spawn per pass/shard; a [`Runtime`] amortizes that cost by keeping
 //! its workers alive for the process lifetime. Scheduling is one FIFO
 //! queue behind one `Mutex`, plus one `Condvar` for idle workers:
 //!

@@ -1613,19 +1613,6 @@ fn chunked_cost_bits(clipped: &[(u32, u32)], universe: usize) -> u64 {
     bits
 }
 
-/// Mask selecting the bits of word `wi` that fall inside the bit window
-/// `[lo, hi)` (all positions in the same coordinate system as `wi·64`).
-#[inline]
-fn word_window_mask(wi: usize, lo: usize, hi: usize) -> u64 {
-    let (wb, we) = (wi * 64, wi * 64 + 64);
-    let lo = lo.max(wb);
-    let hi = hi.min(we);
-    if lo >= hi {
-        return 0;
-    }
-    (!0u64 << (lo - wb)) & (!0u64 >> (we - hi))
-}
-
 /// Popcount of `words` restricted to the bit range `[lo, hi)`.
 #[inline]
 fn popcount_range(words: &[u64], lo: usize, hi: usize) -> usize {
@@ -2542,104 +2529,6 @@ impl<'a> SetRef<'a> {
                 ..
             } => 32 * (meta.len() + data32.len()) as u64 + 64 * data64.len() as u64,
             SetRef::EliasFano { high, low, .. } => 64 * (high.len() + low.len()) as u64,
-        }
-    }
-
-    /// `|self ∩ words[wlo..whi]|` where `words` is a universe-spanning
-    /// residual slab and the window is a word range — the primitive the
-    /// parallel pass block-partitions gains over. Every backend clips to
-    /// the window without materializing.
-    pub fn intersection_len_in_words(self, words: &[u64], wlo: usize, whi: usize) -> usize {
-        match self {
-            SetRef::Sparse { elems, .. } => {
-                let lo = elems.partition_point(|&e| (e as usize) < wlo * 64);
-                let hi = elems.partition_point(|&e| (e as usize) < whi * 64);
-                elems[lo..hi]
-                    .iter()
-                    .filter(|&&e| words[e as usize / 64] >> (e % 64) & 1 == 1)
-                    .count()
-            }
-            SetRef::Dense { words: sw, .. } => {
-                let hi = whi.min(sw.len()).min(words.len());
-                if wlo >= hi {
-                    return 0;
-                }
-                sw[wlo..hi]
-                    .iter()
-                    .zip(&words[wlo..hi])
-                    .map(|(a, b)| (a & b).count_ones() as usize)
-                    .sum()
-            }
-            SetRef::Chunked { .. } => {
-                let v = self.chunk_pieces();
-                let (blo, bhi) = (wlo * 64, whi * 64);
-                let mut gain = 0;
-                for ci in 0..v.ncontainers() {
-                    let key = v.key(ci);
-                    let base = (key as usize) << CHUNK_BITS;
-                    let span = chunk_span(v.universe, key);
-                    if base >= bhi {
-                        break;
-                    }
-                    if base + span <= blo {
-                        continue;
-                    }
-                    let c = v.container(ci);
-                    // Window clipped to this chunk, in chunk-local bits.
-                    let clo = blo.saturating_sub(base);
-                    let chi = (bhi - base).min(span);
-                    let wbase = base / 64;
-                    gain += match c.tag {
-                        TAG_BITMAP => {
-                            let sub = &words[wbase..wbase + c.words.len()];
-                            if clo == 0 && chi == span {
-                                dense_and_popcount(c.words, sub)
-                            } else {
-                                c.words
-                                    .iter()
-                                    .zip(sub)
-                                    .enumerate()
-                                    .map(|(wi, (a, b))| {
-                                        let m = word_window_mask(wi, clo, chi);
-                                        (a & b & m).count_ones() as usize
-                                    })
-                                    .sum()
-                            }
-                        }
-                        TAG_RUNS => (0..c.nruns)
-                            .map(|r| {
-                                let (s, len) = c.run(r);
-                                let lo = (s as usize).max(clo);
-                                let hi = ((s + len) as usize).min(chi);
-                                popcount_range(words, base + lo.min(hi), base + hi)
-                            })
-                            .sum(),
-                        _ => (0..c.card)
-                            .map(|i| c.local(i) as usize)
-                            .skip_while(|&l| l < clo)
-                            .take_while(|&l| l < chi)
-                            .filter(|&l| {
-                                let e = base + l;
-                                words[e / 64] >> (e % 64) & 1 == 1
-                            })
-                            .count(),
-                    };
-                }
-                gain
-            }
-            SetRef::EliasFano { .. } => {
-                let (blo, bhi) = (wlo * 64, whi * 64);
-                let mut gain = 0;
-                for e in self.ef_pieces().iter() {
-                    if e >= bhi {
-                        break;
-                    }
-                    if e >= blo && words[e / 64] >> (e % 64) & 1 == 1 {
-                        gain += 1;
-                    }
-                }
-                gain
-            }
         }
     }
 
@@ -3704,38 +3593,5 @@ mod tests {
         assert_eq!(e.stored_bits(), before_ef);
         assert_eq!(c, chunked_src.get(0));
         assert_eq!(e, ef_src.get(0));
-    }
-
-    #[test]
-    fn window_kernel_matches_full_kernel() {
-        // intersection_len_in_words over a partition of the slab must sum
-        // to the unwindowed intersection, for every backend.
-        let n = 3 * CHUNK + 777;
-        let elems = mixed_texture(n as u32);
-        let residual = BitSet::from_iter(n, (0..n).filter(|e| e % 3 != 1));
-        let words = residual.words();
-        let expect = elems
-            .iter()
-            .filter(|&&e| residual.contains(e as usize))
-            .count();
-        for policy in [
-            ReprPolicy::ForceSparse,
-            ReprPolicy::ForceDense,
-            ReprPolicy::ForceChunked,
-            ReprPolicy::ForceEliasFano,
-        ] {
-            let st = store_with(policy, n, &[&elems]);
-            let s = st.get(0);
-            for block in [1usize, 7, 64, 1000, 4096, words.len()] {
-                let mut total = 0;
-                let mut wlo = 0;
-                while wlo < words.len() {
-                    let whi = (wlo + block).min(words.len());
-                    total += s.intersection_len_in_words(words, wlo, whi);
-                    wlo = whi;
-                }
-                assert_eq!(total, expect, "{policy:?}, block {block}");
-            }
-        }
     }
 }

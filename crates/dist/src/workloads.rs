@@ -109,8 +109,8 @@ pub fn stress_cover<R: Rng + ?Sized>(rng: &mut R, threads: usize) -> PlantedWork
 /// A planted workload sized for both fan-out shapes: with `shards` shards,
 /// every set-range shard view still holds at least 1024 sets **and** every
 /// universe block still spans at least 512 elements, so per-shard sweeps
-/// and block-partitioned refine waves both dominate the fan-out overhead
-/// (and dense pieces do not degenerate to empty word slabs).
+/// and per-block projections both dominate the fan-out overhead (and
+/// dense pieces do not degenerate to empty word slabs).
 ///
 /// Concretely: `n = max(4096, shards·512)`, `m = max(4, shards)·1024`,
 /// planted optimum 32.

@@ -12,9 +12,10 @@
 //!
 //! Passes execute through [`ParallelPass`] on the [`Runtime`] the caller
 //! hands to [`SetCoverStreamer::run_in`]: workers filter candidates
-//! against the pass-start residual in parallel, and the deterministic
-//! chunk-merge re-evaluation makes the picks identical to the sequential
-//! loop for every fan-out width (see `crate::parallel` for the argument).
+//! against the pass-start residual in parallel, and one arrival-order loop
+//! re-evaluates each candidate once against the evolving residual, which
+//! makes the picks identical to the sequential loop for every fan-out
+//! width (see `crate::parallel` for the argument).
 //! All execution knobs live on the [`ExecPolicy`] — the algorithm struct
 //! itself is a unit type.
 

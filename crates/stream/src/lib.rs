@@ -27,11 +27,11 @@
 //!   (`absorb_join`, scopes max) and coexisting guess copies add
 //!   (`absorb_parallel`).
 //! * [`parallel::ParallelPass`] — pooled fan-out of one pass: the
-//!   candidate filter runs one work item per zero-copy arena shard and the
-//!   refine merge block-partitions the residual by universe word ranges
-//!   (waves are stolen work items, not fresh spawns); workers own private
-//!   meters joined into the caller's, and the deterministic
-//!   merge guarantees picks identical to the sequential pass for every
+//!   candidate filter runs one work item per zero-copy arena shard, then
+//!   one arrival-order loop re-evaluates each candidate once against the
+//!   evolving residual; workers own private meters joined into the
+//!   caller's, and that refine loop *is* the sequential scan over the
+//!   candidates, so picks are identical to the sequential pass for every
 //!   fan-out width and pool size.
 //! * [`guessing::GuessDriver`] — the o͂pt-guess grid (clipped to
 //!   `min(n, m)`), executed as pooled work items with per-guess split

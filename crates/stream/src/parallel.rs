@@ -20,7 +20,7 @@
 //! at every worker count.
 //!
 //! Picks are guaranteed **identical to the sequential pass** by a
-//! filter-then-refine merge, and both phases are parallel:
+//! filter-then-refine merge:
 //!
 //! 1. *Filter (parallel over set-range shards)* — the arena is split into
 //!    zero-copy [`StoreShard`] views ([`SetSystem::shards`]), one per
@@ -32,20 +32,12 @@
 //!    every set the sequential pass would accept is necessarily a
 //!    candidate. Candidates are then ordered by arrival position — the
 //!    order the sequential pass would meet them in.
-//! 2. *Refine (parallel over universe blocks)* — candidates are
-//!    re-evaluated against the *evolving* residual in waves: each wave
-//!    computes every pending candidate's gain with the residual
-//!    **block-partitioned by universe word ranges** (one worker per
-//!    block, partial gains summed), rejects the arrival-order prefix
-//!    below threshold — the residual is unchanged until an accept, so
-//!    those rejections are exactly the sequential ones — accepts the
-//!    first candidate at or above threshold, updates the residual, and
-//!    continues with the still-viable suffix (suffix candidates already
-//!    below threshold are pruned for good: gains only shrink, so the
-//!    sequential scan would reject them too). The pick sequence is
-//!    therefore *identical* to the sequential scan while both the
-//!    candidate filter and the merge run on all workers; a single worker
-//!    skips the waves and runs the plain sequential re-evaluation.
+//! 2. *Refine (one arrival-order loop)* — each candidate is re-evaluated
+//!    once against the *evolving* residual and accepted if its gain is
+//!    still at or above threshold. Sets the filter dropped would have been
+//!    rejected at their turn anyway, so this loop *is* the sequential scan
+//!    restricted to the candidates, and the pick sequence is identical at
+//!    every fan-out width.
 //!
 //! Worker accounting is worker-count-invariant by construction: workers
 //! only ever *charge* (monotone meters), so the sum of worker peaks is a
@@ -59,7 +51,6 @@
 use crate::meter::SpaceMeter;
 use crate::runtime::{ExecPolicy, Runtime};
 use crate::stream::SetStream;
-use streamcover_core::shard::split_ranges;
 use streamcover_core::{
     ceil_log2, BatchedSweep, BitSet, ReprPolicy, SetId, SetRef, SetSystem, StoreShard,
 };
@@ -166,85 +157,19 @@ impl<'rt> ParallelPass<'rt> {
         let mut cands: Vec<SetId> = sharded.into_iter().flat_map(|(c, _)| c).collect();
         cands.sort_unstable_by_key(|&i| pos[i]);
 
-        // Phase 2 — deterministic merge, charging each accepted pick
-        // exactly as the sequential pass would. One worker runs the plain
-        // sequential re-evaluation; more workers run it in waves with the
-        // residual block-partitioned by universe word ranges.
+        // Phase 2 — the sequential re-evaluation over the candidates,
+        // charging each accepted pick exactly as the sequential pass would.
         let mut picks = 0usize;
-        let mut accept = |i: SetId, residual: &mut BitSet| {
+        for i in cands {
             let s = sys.set(i);
-            residual.difference_with_ref(s);
-            meter.charge(logm);
-            on_pick(i, s);
-            picks += 1;
-        };
-        if self.workers == 1 {
-            for i in cands {
-                if sys.set(i).intersection_len(residual.as_set_ref()) >= threshold {
-                    accept(i, residual);
-                }
+            if s.intersection_len(residual.as_set_ref()) >= threshold {
+                residual.difference_with_ref(s);
+                meter.charge(logm);
+                on_pick(i, s);
+                picks += 1;
             }
-            return picks;
-        }
-        // Wave invariant: every pending candidate's gain is computed
-        // against the same residual the sequential scan would have seen at
-        // its turn (rejections never change the residual). Everything
-        // before the first at-threshold candidate is therefore rejected
-        // exactly as sequentially; after the accept, suffix candidates
-        // already below threshold are pruned for good — gains against a
-        // shrinking residual only decrease (submodularity), so the
-        // sequential scan would reject them at their turn too. Total work
-        // is thus one block-sweep per wave over only the still-viable
-        // candidates, not the whole filter output.
-        let mut pending = cands;
-        while !pending.is_empty() {
-            let gains = self.block_gains(sys, &pending, residual);
-            let Some(idx) = gains.iter().position(|&g| g >= threshold) else {
-                break;
-            };
-            accept(pending[idx], residual);
-            pending = pending[idx + 1..]
-                .iter()
-                .zip(&gains[idx + 1..])
-                .filter(|&(_, &g)| g >= threshold)
-                .map(|(&i, _)| i)
-                .collect();
         }
         picks
-    }
-
-    /// Gains of `ids` against `residual`, each summed from per-block
-    /// partials computed in parallel over contiguous word ranges of the
-    /// residual (universe blocks, via `split_ranges` so no window is ever
-    /// inverted or out of range). Identical to the per-set
-    /// `intersection_len` by construction — the blocks partition the word
-    /// slab — and computed inline when a single worker, or a wave too small
-    /// to amortize a dispatch, makes a fan-out pointless.
-    fn block_gains(&self, sys: &SetSystem, ids: &[SetId], residual: &BitSet) -> Vec<usize> {
-        // Below this candidate×word product the whole wave is cheaper than
-        // one thread spawn (~µs vs ~ns/word of popcount work).
-        const MIN_BLOCK_WORK: usize = 1 << 15;
-        let words = residual.words();
-        let parts = self.workers.min(words.len()).max(1);
-        if parts == 1 || ids.len().saturating_mul(words.len()) < MIN_BLOCK_WORK {
-            return ids
-                .iter()
-                .map(|&i| sys.set(i).intersection_len(residual.as_set_ref()))
-                .collect();
-        }
-        let blocks = split_ranges(words.len(), parts);
-        let partials = self.rt.map_parts(&blocks, |b| {
-            ids.iter()
-                .map(|&i| gain_in_word_block(sys.set(i), words, b.start, b.end))
-                .collect::<Vec<usize>>()
-        });
-        let mut gains = vec![0usize; ids.len()];
-        for part in partials {
-            for (g, p) in gains.iter_mut().zip(part) {
-                *g += p;
-            }
-        }
-        gains
     }
 
     /// Runs one storing pass: every arriving set is copied verbatim into a
@@ -333,15 +258,6 @@ impl<'rt> ParallelPass<'rt> {
     }
 }
 
-/// `|s ∩ residual|` restricted to the word range `[wlo, whi)` of the
-/// residual slab — one universe block's contribution to a candidate's
-/// gain. Delegates to the core window kernel, which clips every backend
-/// (sparse `partition_point` pair, dense word zip, chunked per-container
-/// windows, Elias–Fano monotone decode) without materializing.
-fn gain_in_word_block(s: SetRef<'_>, words: &[u64], wlo: usize, whi: usize) -> usize {
-    s.intersection_len_in_words(words, wlo, whi)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -380,19 +296,20 @@ mod tests {
         (picks, residual)
     }
 
-    #[test]
-    fn threshold_pass_matches_sequential_for_any_worker_count() {
-        let s = sys();
+    /// Runs the engine at worker counts 1–8 over every threshold/arrival
+    /// combination on `s` and asserts picks, residual and peak space match
+    /// the sequential loop.
+    fn assert_matches_sequential_for_any_worker_count(s: &SetSystem) {
         // One pool, reused across every configuration: fan-out width varies
         // per engine while the runtime stays warm.
         let rt = Runtime::new(4);
         for threshold in [1, 2, 3, 5] {
             for arrival in [Arrival::Adversarial, Arrival::Random { seed: 3 }] {
-                let (expect_picks, expect_residual) = sequential_reference(&s, arrival, threshold);
+                let (expect_picks, expect_residual) = sequential_reference(s, arrival, threshold);
                 let mut peaks = Vec::new();
-                for workers in [1, 2, 3, 8] {
-                    let mut stream = SetStream::new(&s, arrival);
-                    let mut residual = BitSet::full(8);
+                for workers in [1, 2, 3, 4, 8] {
+                    let mut stream = SetStream::new(s, arrival);
+                    let mut residual = BitSet::full(s.universe());
                     let meter = SpaceMeter::new();
                     let mut picks = Vec::new();
                     let n_picks = ParallelPass::new(&rt, workers).threshold_pass(
@@ -402,7 +319,8 @@ mod tests {
                         &meter,
                         |i, _| picks.push(i),
                     );
-                    assert_eq!(picks, expect_picks, "w={workers} τ={threshold}");
+                    let n = s.universe();
+                    assert_eq!(picks, expect_picks, "n={n} w={workers} τ={threshold}");
                     assert_eq!(n_picks, picks.len());
                     assert_eq!(residual, expect_residual);
                     assert_eq!(stream.passes_made(), 1, "one shared pass");
@@ -414,6 +332,25 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn threshold_pass_matches_sequential_for_any_worker_count() {
+        assert_matches_sequential_for_any_worker_count(&sys());
+    }
+
+    #[test]
+    fn block_refine_handles_non_dividing_word_counts() {
+        // Regression, named for the universe-block refine it first caught:
+        // a residual of 9 words (n = 576) split over 8 workers once
+        // ceil-chunked into an inverted window and panicked. The refine is
+        // now one arrival-order loop, but a 9-word residual under 4 and 8
+        // workers must still reproduce the sequential picks; at τ=1 the
+        // filter keeps every one of the 4096 sets as a candidate.
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+        let w = streamcover_dist::planted_cover(&mut rng, 576, 4096, 16);
+        assert_matches_sequential_for_any_worker_count(&w.system);
     }
 
     #[test]
@@ -472,37 +409,6 @@ mod tests {
         assert_eq!(stored.set(0).to_vec(), vec![2]);
         assert_eq!(stored.set(1).to_vec(), vec![2, 3]);
         assert!(stored.set(2).is_empty());
-    }
-
-    #[test]
-    fn block_refine_handles_non_dividing_word_counts() {
-        // Regression: a residual of 9 words (n = 576) split over 8 workers
-        // used to ceil-chunk into an inverted out-of-range window
-        // (block_len 2 ⇒ block 7 = [14, 9)) and panic once the wave was
-        // big enough to take the parallel path. The wave must instead
-        // reproduce the sequential picks; m is sized so the τ=1 candidate
-        // set crosses the MIN_BLOCK_WORK inline gate.
-        use rand::SeedableRng;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-        let w = streamcover_dist::planted_cover(&mut rng, 576, 4096, 16);
-        let (expect_picks, expect_residual) =
-            sequential_reference(&w.system, Arrival::Adversarial, 1);
-        let rt = Runtime::new(4);
-        for workers in [4, 8] {
-            let mut stream = SetStream::new(&w.system, Arrival::Adversarial);
-            let mut residual = BitSet::full(576);
-            let meter = SpaceMeter::new();
-            let mut picks = Vec::new();
-            ParallelPass::new(&rt, workers).threshold_pass(
-                &mut stream,
-                &mut residual,
-                1,
-                &meter,
-                |i, _| picks.push(i),
-            );
-            assert_eq!(picks, expect_picks, "workers={workers}");
-            assert_eq!(residual, expect_residual);
-        }
     }
 
     #[test]

@@ -76,9 +76,9 @@ pub enum DistBackend {
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ExecPolicy {
     /// Fan-out width of one stream pass (the candidate filter's shard
-    /// count, the refine waves' block count, the storing pass's chunk
-    /// count). Clamped to ≥ 1 by the builder; 1 runs the plain sequential
-    /// pass inline.
+    /// count and the storing pass's chunk count; the threshold pass's
+    /// refine is one sequential loop at every width). Clamped to ≥ 1 by
+    /// the builder; 1 runs the plain sequential pass inline.
     pub workers: usize,
     /// Fan-out width of the o͂pt-guess grid (how many chunks the grid is
     /// split into). Composes with `workers`: each guess copy's passes fan

@@ -393,6 +393,8 @@ pub struct CoverService {
     rt: &'static Runtime,
     policy: ExecPolicy,
     compaction: Option<CompactionPolicy>,
+    /// The resident system's universe size; no mutation changes it.
+    universe: usize,
     resident: RwLock<SetSystem>,
     cache: Mutex<Cache>,
     chain: Mutex<Option<Chain>>,
@@ -425,6 +427,7 @@ impl CoverService {
             rt,
             policy,
             compaction: None,
+            universe: system.universe(),
             resident: RwLock::new(system),
             cache: Mutex::new(Cache {
                 epoch,
@@ -497,6 +500,12 @@ impl CoverService {
         let mut canon = target.to_vec();
         canon.sort_unstable();
         canon.dedup();
+        // Checked before `serve_cached` plants an `InFlight` marker: a
+        // panic inside `compute` would strand every identical waiter.
+        let n = self.universe;
+        if let Some(&e) = canon.last() {
+            assert!((e as usize) < n, "element {e} out of universe [{n}]");
+        }
         let key = QueryKey::Cover(canon.clone());
         let answer = self.serve_cached(key, |sys, epoch| {
             let tb = BitSet::from_iter(sys.universe(), canon.iter().map(|&e| e as usize));
@@ -725,10 +734,7 @@ impl CoverService {
 
     /// The resident system's universe size.
     pub fn universe(&self) -> usize {
-        self.resident
-            .read()
-            .expect("resident system poisoned")
-            .universe()
+        self.universe
     }
 
     /// Number of sets in the resident system (tombstones included).

@@ -60,15 +60,14 @@ fn shared_pool_matches_sequential_on_every_workload() {
     // order and fan-out width reuses the same warm pool. Each pooled
     // report must equal both the sequential baseline and a fresh-runtime
     // run of the identical configuration.
-    // The wide workload runs threshold greedy alone: online-prune's
-    // accept waves and store-all's exact solve are too slow for a debug
-    // test at that size.
+    // The wide workload skips store-all: its exact solve is too slow for a
+    // debug test at that size.
     let shared = Runtime::new(4);
     let mut cases: Vec<(&str, SetSystem, usize)> = workloads()
         .into_iter()
         .map(|(name, sys)| (name, sys, 3))
         .collect();
-    cases.push(("wide", wide_workload(), 1));
+    cases.push(("wide", wide_workload(), 2));
     for (name, sys, algo_count) in &cases {
         for arrival in [Arrival::Adversarial, Arrival::Random { seed: 5 }] {
             let algos: Vec<(&str, Box<dyn SetCoverStreamer>)> = vec![
@@ -98,7 +97,9 @@ fn algorithm_one_is_worker_invariant() {
     // each run gets the same fresh rng seed; neither the fan-out width nor
     // the shared pool may touch the random stream or the outcome.
     let shared = Runtime::new(4);
-    for (name, sys) in &workloads() {
+    let mut cases = workloads();
+    cases.push(("wide", wide_workload()));
+    for (name, sys) in &cases {
         let run_with = |rt: &Runtime, workers: usize| {
             let mut rng = StdRng::seed_from_u64(42);
             let algo = HarPeledAssadi::scaled(3, 0.5);

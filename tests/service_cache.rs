@@ -134,3 +134,45 @@ proptest! {
         prop_assert_eq!(s.cache_hits + s.computed, s.queries);
     }
 }
+
+#[test]
+fn malformed_target_panics_without_stranding_later_callers() {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::{mpsc, Arc};
+    use std::time::Duration;
+
+    // Runs `f` on its own thread and returns its outcome (`Err` on a
+    // panic), failing the test instead of hanging if it never returns.
+    fn within<T: Send + 'static>(
+        what: &str,
+        f: impl FnOnce() -> T + Send + 'static,
+    ) -> std::thread::Result<T> {
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(catch_unwind(AssertUnwindSafe(f)));
+        });
+        rx.recv_timeout(Duration::from_secs(20))
+            .unwrap_or_else(|_| panic!("{what} never returned"))
+    }
+
+    let svc = Arc::new(CoverService::new(base_system()));
+    let n = svc.universe() as u32;
+    let bad = vec![3, n, 1];
+    let first = catch_unwind(AssertUnwindSafe(|| svc.cover_for_subset(&bad)));
+    assert!(first.is_err(), "an element ≥ universe() must panic");
+
+    // An identical query must panic too, not wait on a stranded flight.
+    let (s, b) = (Arc::clone(&svc), bad.clone());
+    let second = within("a repeated malformed query", move || s.cover_for_subset(&b));
+    assert!(second.is_err(), "the repeated malformed query must panic");
+
+    // No read guard is left behind, so a mutation still completes, and a
+    // well-formed query still answers at the new epoch.
+    let s = Arc::clone(&svc);
+    let (epoch, _) = within("add_set", move || s.add_set(&[0, 1])).expect("add_set");
+    let s = Arc::clone(&svc);
+    let answer =
+        within("a valid query", move || s.cover_for_subset(&[0, 1, 2])).expect("valid query");
+    assert_eq!(answer.epoch, epoch);
+    assert!(answer.feasible);
+}
