@@ -1,4 +1,5 @@
-//! Prints every experiment table (DESIGN.md §5 / EXPERIMENTS.md).
+//! Prints every experiment table (E1–E12 and `mc`; README "Experiment
+//! tables").
 //!
 //! Usage: `tables [--full] [--seed N] [e1 e2 …]`
 

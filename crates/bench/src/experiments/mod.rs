@@ -1,5 +1,6 @@
 //! One module per experiment family; every public function returns a
-//! [`crate::table::Table`] and is indexed in DESIGN.md §5.
+//! [`crate::table::Table`] and is indexed by experiment id in
+//! [`crate::all_experiments`] (README "Experiment tables").
 
 pub mod communication;
 pub mod hardness;

@@ -23,7 +23,8 @@ use streamcover_stream::{
 pub fn e1_tradeoff(scale: Scale, seed: u64) -> Table {
     // Regime: the sampling rate p = c·k·ln m·n^{1/α}/n must be < 1 for the
     // guesses around the true optimum, i.e. n^{1−1/α} ≳ c·opt·ln m — small
-    // opt and m keep laptop n inside the regime (see DESIGN.md §4).
+    // opt and m keep laptop n inside the regime; outside it p caps at 1
+    // and every α stores the whole input, flattening the tradeoff.
     let (n, m, opt) = if scale.full {
         (16_384, 64, 4)
     } else {

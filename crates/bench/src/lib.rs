@@ -1,10 +1,10 @@
 //! # streamcover-bench
 //!
 //! The experiment harness: every quantitative claim in Assadi (PODS 2017)
-//! has an experiment id (E1–E12, DESIGN.md §5) and a function here that
-//! regenerates its table. `cargo run -p streamcover-bench --bin tables
-//! --release` prints them all; `--full` uses the paper-scale parameters
-//! recorded in EXPERIMENTS.md.
+//! has an experiment id (E1–E12, README "Experiment tables") and a function
+//! here that regenerates its table. `cargo run -p streamcover-bench --bin
+//! tables --release` prints them all; `--full` uses the paper-scale
+//! parameters.
 //!
 //! ## Quickstart
 //!
@@ -22,11 +22,11 @@ pub mod table;
 
 pub use table::{fnum, Table};
 
-/// Experiment scale: `full` is what EXPERIMENTS.md records; fast mode keeps
-/// CI and `cargo test` snappy.
+/// Experiment scale: `full` runs the paper-scale parameters; fast mode
+/// keeps CI and `cargo test` snappy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Scale {
-    /// Use the full (EXPERIMENTS.md) parameters.
+    /// Use the full (paper-scale) parameters.
     pub full: bool,
 }
 

@@ -1,5 +1,5 @@
 //! Plain-text result tables — the output format of every experiment, echoed
-//! by the `tables` binary and recorded in EXPERIMENTS.md.
+//! by the `tables` binary.
 
 use std::fmt;
 

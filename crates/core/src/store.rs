@@ -909,7 +909,10 @@ impl CompactionMap {
 /// four independent accumulators (the probe chain is otherwise a serial
 /// data dependency), and streams word-AND popcounts for dense sets. Against
 /// a *sparse* residual view the sweep dispatches to the pairwise kernels,
-/// reusing the SSE2 block merge for sparse×sparse.
+/// reusing the SSE2 block merge for sparse×sparse. Kernels dispatch at
+/// [`KernelTier::effective`] unless [`with_tier`](Self::with_tier) forces
+/// one: `Avx2` swaps in the gather probe and the block merge, `Scalar` runs
+/// the portable reference.
 ///
 /// The gains buffer is owned by the sweep and reused across calls, so a
 /// solver loop allocates once.
@@ -928,8 +931,8 @@ impl BatchedSweep {
     }
 
     /// A sweep pinned to one kernel tier — the forced-tier knob the
-    /// equivalence batteries use to pin every tier byte-equal to the
-    /// scalar reference.
+    /// equivalence batteries use to pin `Avx2` byte-equal to the `Scalar`
+    /// reference.
     ///
     /// # Panics
     /// Panics if the tier is not [supported](KernelTier::is_supported) on
@@ -976,12 +979,11 @@ impl BatchedSweep {
         let words = residual.words();
         let tier = self.tier();
         let kernel = sparse_sweep_kernel_for(tier);
-        let dense = dense_sweep_kernel_for(tier);
         self.gains.clear();
         self.gains.reserve(ids.len());
         for &i in ids {
             self.gains
-                .push(sweep_one(store, &store.descs[i], words, kernel, dense));
+                .push(sweep_one(store, &store.descs[i], words, kernel));
         }
         &self.gains
     }
@@ -1014,11 +1016,10 @@ impl BatchedSweep {
         let words = residual.words();
         let tier = self.tier();
         let kernel = sparse_sweep_kernel_for(tier);
-        let dense = dense_sweep_kernel_for(tier);
         self.gains.clear();
         self.gains.reserve(span.len());
         for d in &store.descs[span] {
-            self.gains.push(sweep_one(store, d, words, kernel, dense));
+            self.gains.push(sweep_one(store, d, words, kernel));
         }
         &self.gains
     }
@@ -1039,11 +1040,10 @@ impl BatchedSweep {
                 );
                 let tier = self.tier();
                 let kernel = sparse_sweep_kernel_for(tier);
-                let dense = dense_sweep_kernel_for(tier);
                 self.gains.clear();
                 self.gains.reserve(store.len());
                 for d in &store.descs {
-                    self.gains.push(sweep_one(store, d, words, kernel, dense));
+                    self.gains.push(sweep_one(store, d, words, kernel));
                 }
                 &self.gains
             }
@@ -1088,63 +1088,40 @@ impl BatchedSweep {
 /// weakest to strongest. Dispatch picks `min(detected hardware, forced
 /// override)` so a tier is never *selected* above what the CPU supports.
 ///
-/// | tier     | sparse×dense probe                  | dense×dense popcount    | sparse×sparse merge |
-/// |----------|-------------------------------------|-------------------------|---------------------|
-/// | `Scalar` | lane-striped scalar probe           | `u64::count_ones` zip   | branchless merge    |
-/// | `Sse2`   | (as Scalar)                         | (as Scalar)             | 4×4 block compare   |
-/// | `Avx2`   | 2× 4-lane `vpgatherqq`              | (as Scalar)             | (as Sse2)           |
-/// | `Avx512` | 8-lane `vpgatherqq` + masked tail   | `vpopcntdq` word-AND    | (as Sse2)           |
+/// | tier     | sparse×dense probe         | dense×dense popcount  | sparse×sparse merge |
+/// |----------|----------------------------|-----------------------|---------------------|
+/// | `Scalar` | lane-striped scalar probe  | `u64::count_ones` zip | branchless merge    |
+/// | `Avx2`   | 2× 4-lane `vpgatherqq`     | (as Scalar)           | SSE2 4×4 block compare |
 ///
-/// Tests force a tier through [`BatchedSweep::with_tier`] and the
-/// [`SetRef::intersection_len_tier`] family to pin every tier byte-equal
-/// to the scalar reference; production paths call the untiered methods,
-/// which resolve [`KernelTier::effective`] (hardware detection, optionally
+/// Tests force a tier through [`BatchedSweep::with_tier`] and
+/// [`SetRef::intersection_len_tier`] to pin both tiers byte-equal to the
+/// scalar reference; production paths call the untiered methods, which
+/// resolve [`KernelTier::effective`] (hardware detection, optionally
 /// capped by the `STREAMCOVER_KERNEL_TIER` environment variable — read
 /// once, like `STREAMCOVER_WORKERS`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum KernelTier {
     /// Portable scalar kernels (every target).
     Scalar,
-    /// SSE2 block-compare sparse merge (x86_64 baseline).
-    Sse2,
-    /// AVX2 4-lane gather probe.
+    /// AVX2 4-lane gather probe plus the SSE2 block merge (`x86_64` with
+    /// AVX2).
     Avx2,
-    /// AVX-512 8-lane gather probe + `vpopcntdq` dense popcount (requires
-    /// AVX-512 F, VL and VPOPCNTDQ).
-    Avx512,
 }
 
 impl KernelTier {
     /// Every tier, weakest first — the iteration order of the forced-tier
     /// equivalence batteries.
-    pub const ALL: [KernelTier; 4] = [
-        KernelTier::Scalar,
-        KernelTier::Sse2,
-        KernelTier::Avx2,
-        KernelTier::Avx512,
-    ];
+    pub const ALL: [KernelTier; 2] = [KernelTier::Scalar, KernelTier::Avx2];
 
     /// The strongest tier this CPU supports, detected once and cached.
     pub fn detect() -> KernelTier {
         static DETECTED: std::sync::OnceLock<KernelTier> = std::sync::OnceLock::new();
         *DETECTED.get_or_init(|| {
             #[cfg(target_arch = "x86_64")]
-            {
-                if std::arch::is_x86_feature_detected!("avx512f")
-                    && std::arch::is_x86_feature_detected!("avx512vl")
-                    && std::arch::is_x86_feature_detected!("avx512vpopcntdq")
-                {
-                    return KernelTier::Avx512;
-                }
-                if std::arch::is_x86_feature_detected!("avx2") {
-                    return KernelTier::Avx2;
-                }
-                KernelTier::Sse2 // x86_64 baseline
+            if std::arch::is_x86_feature_detected!("avx2") {
+                return KernelTier::Avx2;
             }
-            #[cfg(not(target_arch = "x86_64"))]
-            {
-                KernelTier::Scalar
-            }
+            KernelTier::Scalar
         })
     }
 
@@ -1154,11 +1131,11 @@ impl KernelTier {
     }
 
     /// The tier production dispatch uses: the detected hardware tier,
-    /// capped by `STREAMCOVER_KERNEL_TIER` (`scalar`/`sse2`/`avx2`/
-    /// `avx512`, case-insensitive) when set. The environment is read once
-    /// and snapshotted, mirroring `STREAMCOVER_WORKERS`; an unrecognized
-    /// value is ignored. The cap can only lower the tier — requesting
-    /// `avx512` on a non-AVX-512 CPU still dispatches the detected tier.
+    /// capped by `STREAMCOVER_KERNEL_TIER` (`scalar`/`avx2`,
+    /// case-insensitive) when set. The environment is read once and
+    /// snapshotted, mirroring `STREAMCOVER_WORKERS`; an unrecognized value
+    /// is ignored. The cap can only lower the tier — requesting `avx2` on
+    /// a CPU without AVX2 still dispatches `scalar`.
     pub fn effective() -> KernelTier {
         static CAP: std::sync::OnceLock<Option<KernelTier>> = std::sync::OnceLock::new();
         let cap = *CAP.get_or_init(|| {
@@ -1172,13 +1149,11 @@ impl KernelTier {
         }
     }
 
-    /// Parses a tier name (`scalar`/`sse2`/`avx2`/`avx512`, any case).
+    /// Parses a tier name (`scalar`/`avx2`, any case).
     pub fn parse(v: &str) -> Option<KernelTier> {
         match v.trim().to_ascii_lowercase().as_str() {
             "scalar" => Some(KernelTier::Scalar),
-            "sse2" => Some(KernelTier::Sse2),
             "avx2" => Some(KernelTier::Avx2),
-            "avx512" => Some(KernelTier::Avx512),
             _ => None,
         }
     }
@@ -1187,9 +1162,7 @@ impl KernelTier {
     pub fn name(self) -> &'static str {
         match self {
             KernelTier::Scalar => "scalar",
-            KernelTier::Sse2 => "sse2",
             KernelTier::Avx2 => "avx2",
-            KernelTier::Avx512 => "avx512",
         }
     }
 }
@@ -1200,37 +1173,15 @@ impl KernelTier {
 #[inline]
 fn sparse_sweep_kernel_for(tier: KernelTier) -> fn(&[u32], &[u64]) -> usize {
     #[cfg(target_arch = "x86_64")]
-    {
+    if tier == KernelTier::Avx2 {
         debug_assert!(tier.is_supported(), "unsupported tier {tier:?} forced");
-        match tier {
-            // SAFETY: tier support was established by the caller (detection
-            // or an is_supported()-gated force), so the instructions exist.
-            KernelTier::Avx512 => {
-                return |elems, words| unsafe { sweep_sparse_avx512(elems, words) }
-            }
-            // SAFETY: as above.
-            KernelTier::Avx2 => return |elems, words| unsafe { sweep_sparse_avx2(elems, words) },
-            KernelTier::Sse2 | KernelTier::Scalar => {}
-        }
+        // SAFETY: tier support was established by the caller (detection or
+        // an is_supported()-gated force), so the instructions exist.
+        return |elems, words| unsafe { sweep_sparse_avx2(elems, words) };
     }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = tier; // the only tier above Scalar is x86-only
     sweep_sparse
-}
-
-/// The dense word-AND popcount kernel of one tier (same support contract
-/// as [`sparse_sweep_kernel_for`]). Only AVX-512 has a vector popcount
-/// (`vpopcntdq`); every other tier uses the scalar `count_ones` zip, which
-/// LLVM already vectorizes the AND of.
-#[inline]
-fn dense_sweep_kernel_for(tier: KernelTier) -> fn(&[u64], &[u64]) -> usize {
-    #[cfg(target_arch = "x86_64")]
-    {
-        debug_assert!(tier.is_supported(), "unsupported tier {tier:?} forced");
-        if tier == KernelTier::Avx512 {
-            // SAFETY: tier support was established by the caller.
-            return |a, b| unsafe { dense_and_popcount_avx512(a, b) };
-        }
-    }
-    dense_and_popcount
 }
 
 /// Portable dense word-AND popcount.
@@ -1245,7 +1196,7 @@ fn dense_and_popcount(a: &[u64], b: &[u64]) -> usize {
 /// Gain of one descriptor against a residual word slab (callers have
 /// asserted the slab spans the store's universe). Chunked descriptors walk
 /// their containers columnar-style — each container dispatches to the
-/// tier's dense kernel (bitmap), the tier's sparse probe over decoded
+/// dense word-AND popcount (bitmap), the tier's sparse probe over decoded
 /// 256-element blocks (array), or masked range popcounts (runs); Elias–Fano
 /// descriptors decode in 256-element blocks through the tier's sparse
 /// probe.
@@ -1255,14 +1206,13 @@ fn sweep_one(
     d: &SetDesc,
     words: &[u64],
     sparse_kernel: fn(&[u32], &[u64]) -> usize,
-    dense_kernel: fn(&[u64], &[u64]) -> usize,
 ) -> usize {
     match d.repr {
         SetRepr::Sparse => sparse_kernel(&store.sparse[d.off..d.off + d.card], words),
-        SetRepr::Dense => dense_kernel(&store.dense[d.off..d.off + store.words_per_set], words),
-        SetRepr::Chunked => {
-            chunked_vs_words(store.chunk_view(*d), words, sparse_kernel, dense_kernel)
+        SetRepr::Dense => {
+            dense_and_popcount(&store.dense[d.off..d.off + store.words_per_set], words)
         }
+        SetRepr::Chunked => chunked_vs_words(store.chunk_view(*d), words, sparse_kernel),
         SetRepr::EliasFano => ef_vs_words(store.ef_view(*d), words, sparse_kernel),
     }
 }
@@ -1305,77 +1255,6 @@ unsafe fn sweep_sparse_avx2(elems: &[u32], words: &[u64]) -> usize {
     }
     total += c.iter().sum::<usize>();
     total
-}
-
-/// AVX-512 columnar probe: 8 elements per iteration — one 8-lane
-/// `vpgatherqq` of the residual words, variable right-shifts by `e mod 64`,
-/// and an add into 8-lane accumulators; the sub-512-bit tail is handled
-/// with a masked load + masked gather instead of a scalar epilogue, so
-/// short sparse sets (the paper regime, `|S| ≈ n^{1/3}`) stay on the
-/// vector path end to end.
-///
-/// # Safety
-/// Caller must guarantee the CPU supports AVX-512 F and VL and that every
-/// element satisfies `e / 64 < words.len()` (the store's insertion
-/// invariant).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f", enable = "avx512vl")]
-unsafe fn sweep_sparse_avx512(elems: &[u32], words: &[u64]) -> usize {
-    use std::arch::x86_64::*;
-    let base = words.as_ptr() as *const i64;
-    let low6 = _mm512_set1_epi64(63);
-    let one = _mm512_set1_epi64(1);
-    let mut acc = _mm512_setzero_si512();
-    let mut blocks = elems.chunks_exact(8);
-    for q in blocks.by_ref() {
-        let ev = _mm512_cvtepu32_epi64(_mm256_loadu_si256(q.as_ptr() as *const __m256i));
-        let idx = _mm512_srli_epi64::<6>(ev);
-        let sh = _mm512_and_si512(ev, low6);
-        let g = _mm512_i64gather_epi64::<8>(idx, base);
-        acc = _mm512_add_epi64(acc, _mm512_and_si512(_mm512_srlv_epi64(g, sh), one));
-    }
-    let rem = blocks.remainder();
-    if !rem.is_empty() {
-        // Masked tail: lanes ≥ rem.len() load as zero, are excluded from
-        // the gather (their lane takes the zero src), and contribute
-        // 0 >> 0 & 1 = 0 to the accumulator.
-        let k: __mmask8 = (1u8 << rem.len()) - 1;
-        let ev = _mm512_cvtepu32_epi64(_mm256_maskz_loadu_epi32(k, rem.as_ptr() as *const i32));
-        let idx = _mm512_srli_epi64::<6>(ev);
-        let sh = _mm512_and_si512(ev, low6);
-        let g = _mm512_mask_i64gather_epi64::<8>(_mm512_setzero_si512(), k, idx, base);
-        acc = _mm512_add_epi64(acc, _mm512_and_si512(_mm512_srlv_epi64(g, sh), one));
-    }
-    _mm512_reduce_add_epi64(acc) as usize
-}
-
-/// AVX-512 word-AND popcount: 8 words per iteration through `vpopcntdq`
-/// (the vector popcount AVX2 lacks — its dense kernel stays scalar), with
-/// a masked-load tail.
-///
-/// # Safety
-/// Caller must guarantee the CPU supports AVX-512 F and VPOPCNTDQ. Only
-/// the common prefix `min(|a|, |b|)` is counted, matching the scalar zip.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f", enable = "avx512vpopcntdq")]
-unsafe fn dense_and_popcount_avx512(a: &[u64], b: &[u64]) -> usize {
-    use std::arch::x86_64::*;
-    let n = a.len().min(b.len());
-    let mut acc = _mm512_setzero_si512();
-    let mut i = 0;
-    while i + 8 <= n {
-        let va = _mm512_loadu_si512(a.as_ptr().add(i) as *const __m512i);
-        let vb = _mm512_loadu_si512(b.as_ptr().add(i) as *const __m512i);
-        acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(_mm512_and_si512(va, vb)));
-        i += 8;
-    }
-    if i < n {
-        let k: __mmask8 = (1u8 << (n - i)) - 1;
-        let va = _mm512_maskz_loadu_epi64(k, a.as_ptr().add(i) as *const i64);
-        let vb = _mm512_maskz_loadu_epi64(k, b.as_ptr().add(i) as *const i64);
-        acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(_mm512_and_si512(va, vb)));
-    }
-    _mm512_reduce_add_epi64(acc) as usize
 }
 
 /// Branchless columnar probe of a sorted element slice against a residual
@@ -1673,20 +1552,19 @@ fn clear_bit_range(words: &mut [u64], lo: usize, hi: usize) {
 }
 
 /// Gain of one chunked view against a residual word slab spanning the
-/// universe: containers dispatch per payload kind, reusing the tier's
+/// universe: containers dispatch per payload kind, reusing the sweep
 /// kernels on the chunk's word sub-slab.
 fn chunked_vs_words(
     v: ChunkView<'_>,
     words: &[u64],
     sparse_kernel: fn(&[u32], &[u64]) -> usize,
-    dense_kernel: fn(&[u64], &[u64]) -> usize,
 ) -> usize {
     let mut gain = 0;
     for c in 0..v.ncontainers() {
         let cont = v.container(c);
         let wbase = cont.base() / 64;
         let sub = &words[wbase..wbase + chunk_span_words(v.universe, cont.key)];
-        gain += container_vs_words(cont, sub, sparse_kernel, dense_kernel);
+        gain += container_vs_words(cont, sub, sparse_kernel);
     }
     gain
 }
@@ -1696,10 +1574,9 @@ fn container_vs_words(
     c: Container<'_>,
     sub: &[u64],
     sparse_kernel: fn(&[u32], &[u64]) -> usize,
-    dense_kernel: fn(&[u64], &[u64]) -> usize,
 ) -> usize {
     match c.tag {
-        TAG_BITMAP => dense_kernel(c.words, sub),
+        TAG_BITMAP => dense_and_popcount(c.words, sub),
         TAG_RUNS => (0..c.nruns)
             .map(|r| {
                 let (s, len) = c.run(r);
@@ -1727,14 +1604,13 @@ fn container_vs_words(
 }
 
 /// `|A ∩ B|` of two chunked views: containers merge by key; aligned pairs
-/// dispatch per payload combination (bitmap×bitmap runs the tier's dense
-/// kernel, array/run × bitmap reuse [`container_vs_words`], the word-free
+/// dispatch per payload combination (bitmap×bitmap runs the dense
+/// popcount, array/run × bitmap reuse [`container_vs_words`], the word-free
 /// pairs merge in chunk-local coordinates).
 fn chunked_vs_chunked(
     a: ChunkView<'_>,
     b: ChunkView<'_>,
     sparse_kernel: fn(&[u32], &[u64]) -> usize,
-    dense_kernel: fn(&[u64], &[u64]) -> usize,
 ) -> usize {
     let (mut i, mut j, mut gain) = (0, 0, 0);
     while i < a.ncontainers() && j < b.ncontainers() {
@@ -1744,8 +1620,7 @@ fn chunked_vs_chunked(
         } else if kb < ka {
             j += 1;
         } else {
-            gain +=
-                container_pair_gain(a.container(i), b.container(j), sparse_kernel, dense_kernel);
+            gain += container_pair_gain(a.container(i), b.container(j), sparse_kernel);
             i += 1;
             j += 1;
         }
@@ -1758,12 +1633,11 @@ fn container_pair_gain(
     x: Container<'_>,
     y: Container<'_>,
     sparse_kernel: fn(&[u32], &[u64]) -> usize,
-    dense_kernel: fn(&[u64], &[u64]) -> usize,
 ) -> usize {
     match (x.tag, y.tag) {
-        (TAG_BITMAP, TAG_BITMAP) => dense_kernel(x.words, y.words),
-        (TAG_BITMAP, _) => container_vs_words(y, x.words, sparse_kernel, dense_kernel),
-        (_, TAG_BITMAP) => container_vs_words(x, y.words, sparse_kernel, dense_kernel),
+        (TAG_BITMAP, TAG_BITMAP) => dense_and_popcount(x.words, y.words),
+        (TAG_BITMAP, _) => container_vs_words(y, x.words, sparse_kernel),
+        (_, TAG_BITMAP) => container_vs_words(x, y.words, sparse_kernel),
         (TAG_ARRAY, TAG_ARRAY) => {
             let (mut p, mut q, mut c) = (0, 0, 0);
             while p < x.card && q < y.card {
@@ -2331,7 +2205,7 @@ impl<'a> SetRef<'a> {
                 merge_intersection_len_tier(a, b, tier)
             }
             (SetRef::Dense { words: a, .. }, SetRef::Dense { words: b, .. }) => {
-                dense_sweep_kernel_for(tier)(a, b)
+                dense_and_popcount(a, b)
             }
             (SetRef::Sparse { elems, .. }, SetRef::Dense { words, .. })
             | (SetRef::Dense { words, .. }, SetRef::Sparse { elems, .. }) => {
@@ -2349,21 +2223,18 @@ impl<'a> SetRef<'a> {
             }
             // Compressed hot pairs stay decode-free: containers dispatch
             // against word sub-slabs / sorted groups, EF decodes are
-            // sequential merges. The tier's sparse/dense kernels do the
-            // inner counting, so AVX2/AVX-512 still apply.
+            // sequential merges. The tier's sparse probe and the dense
+            // popcount do the inner counting, so the AVX2 gather still
+            // applies.
             (c @ SetRef::Chunked { .. }, d @ SetRef::Chunked { .. }) => chunked_vs_chunked(
                 c.chunk_pieces(),
                 d.chunk_pieces(),
                 sparse_sweep_kernel_for(tier),
-                dense_sweep_kernel_for(tier),
             ),
             (c @ SetRef::Chunked { .. }, SetRef::Dense { words, .. })
-            | (SetRef::Dense { words, .. }, c @ SetRef::Chunked { .. }) => chunked_vs_words(
-                c.chunk_pieces(),
-                words,
-                sparse_sweep_kernel_for(tier),
-                dense_sweep_kernel_for(tier),
-            ),
+            | (SetRef::Dense { words, .. }, c @ SetRef::Chunked { .. }) => {
+                chunked_vs_words(c.chunk_pieces(), words, sparse_sweep_kernel_for(tier))
+            }
             (c @ SetRef::Chunked { .. }, SetRef::Sparse { elems, .. })
             | (SetRef::Sparse { elems, .. }, c @ SetRef::Chunked { .. }) => {
                 chunked_vs_sorted(c.chunk_pieces(), elems)
@@ -2392,33 +2263,17 @@ impl<'a> SetRef<'a> {
 
     /// `|self ∪ other|` (inclusion–exclusion over the intersection kernel).
     pub fn union_len(self, other: SetRef<'_>) -> usize {
-        self.union_len_tier(other, KernelTier::effective())
-    }
-
-    /// [`union_len`](Self::union_len) pinned to one kernel tier.
-    pub fn union_len_tier(self, other: SetRef<'_>, tier: KernelTier) -> usize {
-        self.len() + other.len() - self.intersection_len_tier(other, tier)
+        self.len() + other.len() - self.intersection_len(other)
     }
 
     /// `|self \ other|`.
     pub fn difference_len(self, other: SetRef<'_>) -> usize {
-        self.difference_len_tier(other, KernelTier::effective())
-    }
-
-    /// [`difference_len`](Self::difference_len) pinned to one kernel tier.
-    pub fn difference_len_tier(self, other: SetRef<'_>, tier: KernelTier) -> usize {
-        self.len() - self.intersection_len_tier(other, tier)
+        self.len() - self.intersection_len(other)
     }
 
     /// Hamming distance `|self Δ other|`.
     pub fn hamming_distance(self, other: SetRef<'_>) -> usize {
-        self.hamming_distance_tier(other, KernelTier::effective())
-    }
-
-    /// [`hamming_distance`](Self::hamming_distance) pinned to one kernel
-    /// tier.
-    pub fn hamming_distance_tier(self, other: SetRef<'_>, tier: KernelTier) -> usize {
-        self.len() + other.len() - 2 * self.intersection_len_tier(other, tier)
+        self.len() + other.len() - 2 * self.intersection_len(other)
     }
 
     /// Whether `self ∩ other = ∅`, with early exit.
@@ -2555,9 +2410,9 @@ impl<'a> SetRef<'a> {
 /// `|A| + |B| ≪ n/64`; the block version restores the asymptotic win at
 /// paper-regime sizes (`|S| ≈ n^{1/3}`, measured ≈ 2.2× faster than the
 /// scalar walk and ≥ 3× faster than the dense kernel at `n = 2^14`).
-/// The SSE2 block walk is gated on the tier (`tier < Sse2` runs the scalar
-/// branchless walk end to end — the reference the forced-tier batteries
-/// compare every tier against).
+/// The SSE2 block walk is gated on the tier (`Scalar` runs the branchless
+/// walk end to end — the portable reference the forced-tier batteries
+/// compare `Avx2` against).
 fn merge_intersection_len_tier(a: &[u32], b: &[u32], tier: KernelTier) -> usize {
     // Skewed pairs (|A| ≪ |B|) gallop instead of merging: the block walk
     // still advances 4 elements of the *long* side per step, so a
@@ -2575,9 +2430,9 @@ fn merge_intersection_len_tier(a: &[u32], b: &[u32], tier: KernelTier) -> usize 
     }
     let (mut i, mut j, mut c) = (0usize, 0usize, 0usize);
     #[cfg(not(target_arch = "x86_64"))]
-    let _ = tier; // every tier above Scalar is x86-only
+    let _ = tier; // the only tier above Scalar is x86-only
     #[cfg(target_arch = "x86_64")]
-    if tier >= KernelTier::Sse2 {
+    if tier >= KernelTier::Avx2 {
         // SAFETY: SSE2 is part of the x86_64 baseline; loads stay in bounds
         // because the loop condition guarantees 4 readable lanes per side.
         unsafe {
@@ -3342,21 +3197,25 @@ mod tests {
 
     #[test]
     fn kernel_tier_parse_order_and_detection() {
-        assert_eq!(KernelTier::parse("avx512"), Some(KernelTier::Avx512));
         assert_eq!(KernelTier::parse(" AVX2 "), Some(KernelTier::Avx2));
-        assert_eq!(KernelTier::parse("Sse2"), Some(KernelTier::Sse2));
         assert_eq!(KernelTier::parse("scalar"), Some(KernelTier::Scalar));
+        // The removed tiers' names parse like any other unknown value.
+        assert_eq!(KernelTier::parse("sse2"), None);
+        assert_eq!(KernelTier::parse("avx512"), None);
         assert_eq!(KernelTier::parse("neon"), None);
         assert_eq!(KernelTier::parse(""), None);
-        assert!(KernelTier::Scalar < KernelTier::Sse2);
-        assert!(KernelTier::Avx2 < KernelTier::Avx512);
+        assert!(KernelTier::Scalar < KernelTier::Avx2);
+        assert_eq!(KernelTier::ALL, [KernelTier::Scalar, KernelTier::Avx2]);
+        for tier in KernelTier::ALL {
+            assert_eq!(KernelTier::parse(tier.name()), Some(tier));
+        }
         // Scalar is always supported; effective() never exceeds detect().
         assert!(KernelTier::Scalar.is_supported());
         assert!(KernelTier::effective() <= KernelTier::detect());
         #[cfg(target_arch = "x86_64")]
-        assert!(
-            KernelTier::Sse2.is_supported(),
-            "SSE2 is the x86_64 baseline"
+        assert_eq!(
+            KernelTier::Avx2.is_supported(),
+            std::arch::is_x86_feature_detected!("avx2")
         );
     }
 
@@ -3365,7 +3224,7 @@ mod tests {
         // Direct pin of the forced-tier seam at the unit level (the
         // proptest batteries broaden this): sparse, dense, and mixed sets
         // against a residual with an odd word count (exercising the
-        // AVX-512 masked tails), every supported tier vs Scalar.
+        // gather probe's scalar tail), every supported tier vs Scalar.
         let n = 9 * 64 + 17; // 10 words, ragged last word
         let s0: Vec<u32> = (0..n as u32).step_by(3).collect();
         let s1: Vec<u32> = (0..n as u32).step_by(2).collect();
@@ -3393,24 +3252,15 @@ mod tests {
                     v.intersection_len_tier(r, KernelTier::Scalar),
                     "pairwise tier {tier:?}, set {i}"
                 );
-                assert_eq!(
-                    v.union_len_tier(r, tier),
-                    v.union_len_tier(r, KernelTier::Scalar)
-                );
             }
         }
     }
 
     #[test]
-    #[should_panic(expected = "not supported")]
-    fn forcing_an_unsupported_tier_panics() {
-        // On every current test machine at least one tier is unsupported
-        // only if detect() < Avx512; when the host has full AVX-512 the
-        // constructor contract is still exercised via a synthetic check.
-        if KernelTier::detect() < KernelTier::Avx512 {
-            let _ = BatchedSweep::with_tier(KernelTier::Avx512);
-        } else {
-            panic!("kernel tier avx512 not supported on this CPU (synthetic)");
+    fn with_tier_panics_exactly_on_unsupported_tiers() {
+        for tier in KernelTier::ALL {
+            let forced = std::panic::catch_unwind(|| BatchedSweep::with_tier(tier));
+            assert_eq!(forced.is_err(), !tier.is_supported(), "tier {tier:?}");
         }
     }
 

@@ -191,11 +191,13 @@ fn check_mutation_kernels(
     Ok(())
 }
 
-/// The forced-tier battery: every counting kernel, every backend pairing,
-/// every *supported* SIMD tier — all pinned byte-equal to the `BitSet`
-/// reference. Unsupported tiers are skipped with an explicit log line (so
-/// a CI container without AVX-512 still shows the dispatch logic ran and
-/// exactly which tier it could not execute) rather than silently passing.
+/// The forced-tier battery: the intersection kernel (which the union,
+/// difference and Hamming counts are inclusion–exclusion over), every
+/// backend pairing, both tiers where supported — all pinned byte-equal to
+/// the `BitSet` reference. An unsupported `Avx2` is skipped with an
+/// explicit log line (so a CI container without AVX2 still shows the
+/// dispatch logic ran and which tier it could not execute) rather than
+/// silently passing.
 fn check_tiered_kernels(n: usize, lists: Vec<Vec<usize>>) -> Result<(), TestCaseError> {
     {
         let systems: Vec<SetSystem> = POLICIES.iter().map(|&p| build(n, &lists, p)).collect();
@@ -222,15 +224,6 @@ fn check_tiered_kernels(n: usize, lists: Vec<Vec<usize>>) -> Result<(), TestCase
                                 tier.name(),
                                 i,
                                 j
-                            );
-                            prop_assert_eq!(a.union_len_tier(b, tier), refs[i].union_len(&refs[j]));
-                            prop_assert_eq!(
-                                a.difference_len_tier(b, tier),
-                                refs[i].difference_len(&refs[j])
-                            );
-                            prop_assert_eq!(
-                                a.hamming_distance_tier(b, tier),
-                                refs[i].hamming_distance(&refs[j])
                             );
                         }
                     }

@@ -78,8 +78,8 @@ proptest! {
     #[test]
     fn sweep_matches_scalar_reference_under_every_forced_tier(inst in arb_instance()) {
         // The forced-tier knob: the same sweep shapes as above, but with
-        // the kernel tier pinned — every *supported* tier must reproduce
-        // the Scalar tier byte-for-byte; unsupported tiers are skipped
+        // the kernel tier pinned — `Avx2`, where supported, must reproduce
+        // the Scalar tier byte-for-byte; an unsupported tier is skipped
         // with an explicit log line, never silently.
         let (n, lists, resid) = inst;
         let residual = BitSet::from_iter(n, resid.iter().copied());

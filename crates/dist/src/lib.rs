@@ -64,7 +64,6 @@ pub use maxcover::{sample_dmc, sample_dmc_with_theta, DmcInstance, McParams};
 pub use partition::{random_partition, RandomPartition};
 pub use setcover::{sample_dsc, sample_dsc_with_theta, DscInstance, ScParams};
 pub use workloads::{
-    blog_watch, planted_cover, podcast_catalog, stress_cover, stress_cover_shards,
-    turnstile_catalog, uniform_random, zipf_query_mix, CatalogOp, PlantedWorkload,
-    TurnstileCatalog, ZipfQueryMix,
+    blog_watch, planted_cover, podcast_catalog, turnstile_catalog, uniform_random, zipf_query_mix,
+    CatalogOp, PlantedWorkload, TurnstileCatalog, ZipfQueryMix,
 };

@@ -89,41 +89,6 @@ pub fn planted_cover<R: Rng + ?Sized>(
     }
 }
 
-/// A planted workload sized for thread-parallel passes: with `threads`
-/// workers, every chunk of the arrival order still holds at least 1024
-/// sets, so a pass-engine fan-out of up to `threads` runtime workers
-/// (`ExecPolicy::workers` dispatched on a `Runtime` pool) has real work
-/// per work item — the candidate filter dominates the dispatch overhead,
-/// which the persistent pool keeps to a queue push instead of a spawn.
-///
-/// Concretely: `n = 4096`, `m = max(4, threads) · 1024`, planted optimum 32.
-///
-/// # Panics
-/// Panics if `threads == 0`.
-pub fn stress_cover<R: Rng + ?Sized>(rng: &mut R, threads: usize) -> PlantedWorkload {
-    assert!(threads >= 1, "need at least one thread");
-    let m = threads.max(4) * 1024;
-    planted_cover(rng, 4096, m, 32)
-}
-
-/// A planted workload sized for both fan-out shapes: with `shards` shards,
-/// every set-range shard view still holds at least 1024 sets **and** every
-/// universe block still spans at least 512 elements, so per-shard sweeps
-/// and per-block projections both dominate the fan-out overhead (and
-/// dense pieces do not degenerate to empty word slabs).
-///
-/// Concretely: `n = max(4096, shards·512)`, `m = max(4, shards)·1024`,
-/// planted optimum 32.
-///
-/// # Panics
-/// Panics if `shards == 0`.
-pub fn stress_cover_shards<R: Rng + ?Sized>(rng: &mut R, shards: usize) -> PlantedWorkload {
-    assert!(shards >= 1, "need at least one shard");
-    let n = 4096.max(shards * 512);
-    let m = shards.max(4) * 1024;
-    planted_cover(rng, n, m, 32)
-}
-
 /// `m` independent Bernoulli(`p`) subsets of `[n]`. With `coverable =
 /// true`, any element left uncovered is patched into a uniformly random
 /// set, guaranteeing `⋃ S_i = [n]`; with `false` the system is left as
@@ -535,17 +500,6 @@ mod tests {
             if !planted.contains(&i) {
                 assert!(s.len() <= 240 / 8, "decoy {i} has {} elements", s.len());
             }
-        }
-    }
-
-    #[test]
-    fn stress_cover_shards_sizes_both_plans() {
-        let mut rng = StdRng::seed_from_u64(8);
-        for shards in [1, 4, 16] {
-            let w = stress_cover_shards(&mut rng, shards);
-            assert!(w.system.len() / shards >= 1024, "sets per shard");
-            assert!(w.system.universe() / shards >= 512, "elements per block");
-            assert!(w.system.is_cover(&w.planted));
         }
     }
 

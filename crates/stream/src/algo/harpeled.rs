@@ -108,7 +108,8 @@ pub struct HarPeledAssadi {
     /// `n^{1−1/α}` and cap `p` at 1 (degenerating the algorithm into
     /// store-everything), so experiments may lower it — rounds then fail
     /// with slightly higher probability, which the o͂pt-guess grid absorbs.
-    /// Recorded as a substitution in DESIGN.md §4.
+    /// This is a deliberate substitution for the paper's constant, made
+    /// only by [`scaled`](Self::scaled); [`paper`](Self::paper) keeps 16.
     pub rate_constant: f64,
 }
 
@@ -132,7 +133,9 @@ impl HarPeledAssadi {
     }
 
     /// Laptop-scale configuration: the paper's structure with `c = 2`, so
-    /// the `n^{1/α}` scaling is visible at `n ≤ 2^14` (see DESIGN.md §4).
+    /// the `n^{1/α}` scaling is visible at `n ≤ 2^14`. With `c = 16` the
+    /// rate `p = c·k·ln m/(ρ·n)` caps at 1 at these sizes and every round
+    /// stores the whole input.
     pub fn scaled(alpha: usize, eps: f64) -> Self {
         HarPeledAssadi {
             rate_constant: 2.0,

@@ -1,7 +1,10 @@
-//! The store-everything baseline: one pass, `Θ(mn)`-ish bits, optimal
-//! answer. This is the trivial upper bound the streaming model exists to
-//! beat — and the yardstick the lower bound says you cannot beat by more
-//! than `n^{1-1/α}` while keeping `α`-approximation.
+//! The store-everything baseline: one pass, `Θ(mn)`-ish bits, and an
+//! optimal answer when the offline exact search finishes within
+//! [`StoreAll::node_budget`]; past the budget the answer is the greedy
+//! incumbent, which may be larger than the optimum (the run report does
+//! not say which). This is the trivial upper bound the streaming model
+//! exists to beat — and the yardstick the lower bound says you cannot beat
+//! by more than `n^{1-1/α}` while keeping `α`-approximation.
 
 use crate::meter::SpaceMeter;
 use crate::parallel::ParallelPass;

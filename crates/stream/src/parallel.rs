@@ -129,24 +129,19 @@ impl<'rt> ParallelPass<'rt> {
         // Phase 1 — parallel candidate filter against the snapshot, one
         // zero-copy arena shard per work item: each item's gains_span walk
         // reads its own contiguous descriptor (and element-arena) region.
-        // The worker meters stay empty here (candidates are simulator
-        // state, see above); they exist so every pass folds workers
-        // uniformly.
         let shards = sys.shards(self.workers);
-        let filter = |shard: &StoreShard<'_>| -> (Vec<SetId>, SpaceMeter) {
+        let filter = |shard: &StoreShard<'_>| -> Vec<SetId> {
             let mut sweep = BatchedSweep::new();
             let start = shard.ids().start;
-            let cands: Vec<SetId> = shard
+            shard
                 .gains(&mut sweep, residual)
                 .iter()
                 .enumerate()
                 .filter(|&(_, &g)| g >= threshold)
                 .map(|(j, _)| start + j)
-                .collect();
-            (cands, SpaceMeter::new())
+                .collect()
         };
-        let sharded: Vec<(Vec<SetId>, SpaceMeter)> = self.rt.map_parts(&shards, filter);
-        meter.absorb_join(sharded.iter().map(|(_, w)| w));
+        let sharded: Vec<Vec<SetId>> = self.rt.map_parts(&shards, filter);
 
         // Candidates come back in set-id order per shard; the refine phase
         // must meet them in *arrival* order, like the sequential pass.
@@ -154,7 +149,7 @@ impl<'rt> ParallelPass<'rt> {
         for (p, &i) in order.iter().enumerate() {
             pos[i] = p as u32;
         }
-        let mut cands: Vec<SetId> = sharded.into_iter().flat_map(|(c, _)| c).collect();
+        let mut cands: Vec<SetId> = sharded.into_iter().flatten().collect();
         cands.sort_unstable_by_key(|&i| pos[i]);
 
         // Phase 2 — the sequential re-evaluation over the candidates,

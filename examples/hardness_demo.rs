@@ -18,7 +18,7 @@ fn main() {
     let mut rng = StdRng::seed_from_u64(42);
     let alpha = 2usize;
     // Hardness regime: t ≥ 30 so set sizes concentrate (densities ≤ 3/4),
-    // and n/t^α ≫ log m so pair residuals survive (DESIGN.md §4).
+    // and n/t^α ≫ log m so pair residuals survive (here n/t^α = 16).
     let p = ScParams::explicit(16_384, 8, 32);
     println!(
         "D_SC with n={}, m={} (2m={} sets), t={}, target approximation α={alpha}\n",

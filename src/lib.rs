@@ -60,9 +60,9 @@ pub mod prelude {
         KernelTier, ReprPolicy, SetId, SetRepr, SetSystem, StoreShard,
     };
     pub use streamcover_dist::{
-        blog_watch, planted_cover, podcast_catalog, sample_dmc, sample_dsc, stress_cover,
-        stress_cover_shards, turnstile_catalog, uniform_random, zipf_query_mix, CatalogOp,
-        McParams, ScParams, TurnstileCatalog, ZipfQueryMix,
+        blog_watch, planted_cover, podcast_catalog, sample_dmc, sample_dsc, turnstile_catalog,
+        uniform_random, zipf_query_mix, CatalogOp, McParams, ScParams, TurnstileCatalog,
+        ZipfQueryMix,
     };
     pub use streamcover_info::{
         dsc_lower_bound_bits, estimate_disj_icost, mutual_information, Empirical,
