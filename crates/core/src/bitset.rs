@@ -392,8 +392,17 @@ pub fn random_subset<R: rand::Rng + ?Sized>(rng: &mut R, capacity: usize, size: 
     )
 }
 
+/// Bitmap words per sampled element up to which [`random_subset_elems`]
+/// samples on a word bitmap rather than a hash set.
+const SAMPLE_BITMAP_WORDS_PER_ELEM: usize = 16;
+
 /// [`random_subset`] as a sorted `u32` element list — the allocation-light
 /// emitter the sparse arena builder consumes directly.
+///
+/// Floyd's sampler runs on a word bitmap, emitted sorted by a word scan,
+/// unless the universe is so sparse in the sample that a bitmap would cost
+/// more than 16 words per element; then it runs on a hash set and sorts. Both make the same RNG draws, so the
+/// output depends only on the RNG state.
 pub fn random_subset_elems<R: rand::Rng + ?Sized>(
     rng: &mut R,
     capacity: usize,
@@ -403,12 +412,23 @@ pub fn random_subset_elems<R: rand::Rng + ?Sized>(
         size <= capacity,
         "cannot sample {size}-subset of [{capacity}]"
     );
-    let mut s: std::collections::HashSet<usize> = std::collections::HashSet::with_capacity(size);
     // Floyd's sampling: for j = capacity-size .. capacity-1, insert a random
     // element of [0, j]; on collision insert j itself.
-    for j in (capacity - size)..capacity {
-        let x = rng.gen_range(0..=j);
-        if !s.insert(x) {
+    let draws = (capacity - size)..capacity;
+    if capacity.div_ceil(WORD_BITS) <= SAMPLE_BITMAP_WORDS_PER_ELEM * size {
+        let mut s = BitSet::new(capacity);
+        for j in draws {
+            if !s.insert(rng.gen_range(0..=j)) {
+                s.insert(j);
+            }
+        }
+        let mut v = Vec::with_capacity(size);
+        v.extend(s.iter().map(|e| e as u32));
+        return v;
+    }
+    let mut s: std::collections::HashSet<usize> = std::collections::HashSet::with_capacity(size);
+    for j in draws {
+        if !s.insert(rng.gen_range(0..=j)) {
             s.insert(j);
         }
     }
@@ -452,7 +472,56 @@ pub fn bernoulli_elems<R: rand::Rng + ?Sized>(rng: &mut R, capacity: usize, p: f
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::{rngs::StdRng, SeedableRng};
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+
+    /// The hash-set-only sampler `random_subset_elems` replaced: the
+    /// reference its output must match draw for draw.
+    fn random_subset_elems_hashed<R: rand::Rng + ?Sized>(
+        rng: &mut R,
+        capacity: usize,
+        size: usize,
+    ) -> Vec<u32> {
+        let mut s = std::collections::HashSet::with_capacity(size);
+        for j in (capacity - size)..capacity {
+            let x = rng.gen_range(0..=j);
+            if !s.insert(x) {
+                s.insert(j);
+            }
+        }
+        let mut v: Vec<u32> = s.into_iter().map(|e| e as u32).collect();
+        v.sort_unstable();
+        v
+    }
+
+    #[test]
+    fn subset_sampler_matches_hashed_reference() {
+        let mut pick = StdRng::seed_from_u64(8);
+        let mut cases: Vec<(usize, usize)> = vec![(0, 0), (1, 0), (1, 1), (64, 64), (4096, 0)];
+        for _ in 0..300 {
+            // Up to 2^21 with small samples reaches the hash-set path.
+            let capacity = match pick.gen_range(0u32..3) {
+                0 => pick.gen_range(1usize..200),
+                1 => pick.gen_range(1usize..5_000),
+                _ => pick.gen_range(1usize..1 << 21),
+            };
+            let size = match pick.gen_range(0u32..4) {
+                0 => 0,
+                1 => capacity.min(5_000),
+                2 => pick.gen_range(0..=capacity.min(8)),
+                _ => pick.gen_range(0..=capacity.min(1_000)),
+            };
+            cases.push((capacity, size));
+        }
+        for (t, &(capacity, size)) in cases.iter().enumerate() {
+            let mut a = StdRng::seed_from_u64(t as u64);
+            let mut b = StdRng::seed_from_u64(t as u64);
+            let got = random_subset_elems(&mut a, capacity, size);
+            let want = random_subset_elems_hashed(&mut b, capacity, size);
+            assert_eq!(got, want, "capacity {capacity} size {size}");
+            // Same draws: both generators end in the same state.
+            assert_eq!(a.gen::<u64>(), b.gen::<u64>(), "capacity {capacity}");
+        }
+    }
 
     #[test]
     fn new_is_empty() {

@@ -75,8 +75,7 @@ pub fn greedy_max_coverage(sys: &SetSystem, k: usize) -> CoverResult {
 /// sequence — including the smallest-id tie-break — matches the eager scan
 /// exactly while evaluating far fewer gains on instances with many sets.
 pub fn greedy_cover_until(sys: &SetSystem, max_picks: usize, target: &BitSet) -> CoverResult {
-    let heap = CelfHeap::seed(sys, target);
-    run_celf(sys, heap, max_picks, target)
+    CelfHeap::seed(sys, target).cover_until(sys, max_picks, target)
 }
 
 /// [`greedy_cover_until`] with the heap-seeding sweep fanned out over
@@ -111,8 +110,7 @@ pub fn greedy_cover_until_sharded_in(
     max_picks: usize,
     target: &BitSet,
 ) -> CoverResult {
-    let heap = CelfHeap::seed_in(rt, sys, workers, target);
-    run_celf(sys, heap, max_picks, target)
+    CelfHeap::seed_in(rt, sys, workers, target).cover_until(sys, max_picks, target)
 }
 
 /// A resumable CELF bound heap: the lazy-greedy pick state, detached from
@@ -197,6 +195,24 @@ impl CelfHeap {
         )
     }
 
+    /// A heap over caller-supplied `(id, bound)` pairs — the seam for
+    /// seeding from an index instead of a sweep. Zero bounds are left out.
+    ///
+    /// Precondition, for the target the heap is then driven against:
+    /// every set whose gain on it is positive appears, and each bound is
+    /// at least that set's true gain. Extra ids and loose bounds are fine
+    /// (a refresh drops an entry whose true gain is 0), so
+    /// [`cover_until`](Self::cover_until) on such a heap picks exactly
+    /// what [`greedy_cover_until`] picks. A missing id or a bound below
+    /// the true gain silently changes the picks.
+    pub fn from_bounds(bounds: impl IntoIterator<Item = (SetId, usize)>) -> CelfHeap {
+        let heap = bounds
+            .into_iter()
+            .filter_map(|(i, b)| (b > 0).then_some((b, Reverse(i))))
+            .collect();
+        CelfHeap { heap, top: None }
+    }
+
     /// A heap over `(first id, gains)` runs; zero gains are left out.
     fn from_gains<'g>(runs: impl IntoIterator<Item = (SetId, &'g [usize])>) -> CelfHeap {
         let heap = runs
@@ -249,6 +265,39 @@ impl CelfHeap {
         self.pop()
     }
 
+    /// Drains the heap as a greedy cover of `target` with at most
+    /// `max_picks` sets — the CELF selection loop [`greedy_cover_until`]
+    /// runs on a swept seed. The heap must have been seeded for `target`
+    /// (see [`from_bounds`](Self::from_bounds) for the precondition).
+    ///
+    /// # Panics
+    /// Panics if `target.capacity() != sys.universe()`.
+    pub fn cover_until(
+        mut self,
+        sys: &SetSystem,
+        max_picks: usize,
+        target: &BitSet,
+    ) -> CoverResult {
+        assert_eq!(
+            target.capacity(),
+            sys.universe(),
+            "target universe mismatch"
+        );
+        let mut uncovered = target.clone();
+        let mut covered = BitSet::new(sys.universe());
+        let mut ids = Vec::new();
+        while !uncovered.is_empty() && ids.len() < max_picks {
+            let Some(i) = self.next_pick(sys, &uncovered) else {
+                break; // no set makes progress
+            };
+            uncovered.difference_with_ref(sys.set(i));
+            covered.union_with_ref(sys.set(i));
+            ids.push(i);
+        }
+        covered.intersect_with(target);
+        CoverResult { ids, covered }
+    }
+
     /// The one CELF refresh loop: re-evaluate the top candidate's true
     /// gain (ids are relative to `base` in `store`) until a refreshed
     /// entry still tops every remaining bound.
@@ -276,23 +325,6 @@ impl CelfHeap {
         }
         None
     }
-}
-
-/// The CELF selection loop over an already-seeded bound heap.
-fn run_celf(sys: &SetSystem, mut heap: CelfHeap, max_picks: usize, target: &BitSet) -> CoverResult {
-    let mut uncovered = target.clone();
-    let mut covered = BitSet::new(sys.universe());
-    let mut ids = Vec::new();
-    while !uncovered.is_empty() && ids.len() < max_picks {
-        let Some(i) = heap.next_pick(sys, &uncovered) else {
-            break; // no set makes progress
-        };
-        uncovered.difference_with_ref(sys.set(i));
-        covered.union_with_ref(sys.set(i));
-        ids.push(i);
-    }
-    covered.intersect_with(target);
-    CoverResult { ids, covered }
 }
 
 /// The eager `O(picks·m)` greedy scan — the pre-CELF reference
@@ -550,6 +582,49 @@ mod tests {
                     assert_eq!(parts[o].pop(), Some(i - shards[o].ids().start));
                     uncovered.difference_with_ref(sys.set(i));
                 }
+            }
+        }
+    }
+
+    /// An index-style seed — every set with a positive gain, bounds
+    /// inflated above the true gain, tombstoned and zero-gain ids mixed
+    /// in — drains to exactly the swept greedy's picks.
+    #[test]
+    fn inflated_bounds_seed_picks_like_greedy() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(31);
+        for trial in 0..60 {
+            let n = 1 + rng.gen_range(0usize..50);
+            let m = rng.gen_range(1usize..30);
+            let lists: Vec<Vec<usize>> = (0..m)
+                .map(|_| (0..n).filter(|_| rng.gen_bool(0.2)).collect())
+                .collect();
+            let mut sys = SetSystem::from_elements(n, &lists);
+            // Bounds are taken before the removals, like a postings index
+            // that keeps a removed set's ids: a stale bound ≥ true gain 0.
+            let target = BitSet::from_iter(n, (0..n).filter(|_| rng.gen_bool(0.5)));
+            let bounds: Vec<(SetId, usize)> = (0..m)
+                .map(|i| {
+                    let g = sys.set(i).intersection_len(target.as_set_ref());
+                    let slack = match rng.gen_range(0u32..3) {
+                        0 => 0,
+                        1 => 1,
+                        _ => rng.gen_range(0..n + 1),
+                    };
+                    (i, g + slack)
+                })
+                .collect();
+            for i in 0..m {
+                if rng.gen_bool(0.2) {
+                    sys.remove_set(i);
+                }
+            }
+            for max_picks in [0, 1, 2, usize::MAX] {
+                let want = greedy_cover_until(&sys, max_picks, &target);
+                let mut shuffled = bounds.clone();
+                shuffled.reverse();
+                let got = CelfHeap::from_bounds(shuffled).cover_until(&sys, max_picks, &target);
+                assert_eq!(got, want, "trial {trial} max_picks {max_picks}");
             }
         }
     }

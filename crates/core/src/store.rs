@@ -319,21 +319,15 @@ impl SetStore {
                 self.universe
             );
         }
-        // Only the policies that need the measured container cost (Auto's
-        // argmin, or an actual Chunked encode) pay for the run scan.
+        // Only Auto's argmin needs the measured container cost; it is
+        // priced in one streaming pass, and the run list is built only for
+        // an actual Chunked encode.
         let repr = match self.policy {
-            ReprPolicy::Auto | ReprPolicy::ForceChunked => {
-                let runs = runs_from_sorted(elems);
-                let chunked_bits = chunked_cost_bits(&runs, self.universe);
-                let repr = self
-                    .policy
-                    .choose_measured(elems.len(), self.universe, chunked_bits);
-                if repr == SetRepr::Chunked {
-                    let desc = self.encode_chunked(elems.len(), &runs);
-                    return self.push_desc(desc);
-                }
-                repr
-            }
+            ReprPolicy::Auto => self.policy.choose_measured(
+                elems.len(),
+                self.universe,
+                chunked_cost_bits_sorted(elems, self.universe),
+            ),
             p => p.choose(elems.len(), self.universe),
         };
         let desc = match repr {
@@ -352,7 +346,7 @@ impl SetStore {
                 SetDesc::dense(off, elems.len())
             }
             SetRepr::EliasFano => self.encode_ef(elems.len(), elems.iter().copied()),
-            SetRepr::Chunked => unreachable!("Chunked is encoded above"),
+            SetRepr::Chunked => self.encode_chunked(elems.len(), &runs_from_sorted(elems)),
         };
         self.push_desc(desc)
     }
@@ -1463,8 +1457,13 @@ fn runs_from_words(words: &[u64]) -> Vec<(u32, u32)> {
 /// and `64·span_words` (bitmap), ties breaking Array ≺ Runs ≺ Bitmap.
 fn container_choice(group: &[(u32, u32)], universe: usize, key: u32) -> (u32, u64) {
     let card: usize = group.iter().map(|&(_, l)| l as usize).sum();
+    container_cost(card, group.len(), universe, key)
+}
+
+/// [`container_choice`] from a chunk's cardinality and clipped-run count.
+fn container_cost(card: usize, nruns: usize, universe: usize, key: u32) -> (u32, u64) {
     let arr = 32 * card.div_ceil(2) as u64;
-    let run = 32 * group.len() as u64;
+    let run = 32 * nruns as u64;
     let bmp = 64 * chunk_span_words(universe, key) as u64;
     if arr <= run && arr <= bmp {
         (TAG_ARRAY, arr)
@@ -1488,6 +1487,36 @@ fn chunked_cost_bits(clipped: &[(u32, u32)], universe: usize) -> u64 {
         }
         bits += 32 * CONTAINER_META as u64 + container_choice(&clipped[g..e], universe, key).1;
         g = e;
+    }
+    bits
+}
+
+/// [`chunked_cost_bits`] of `runs_from_sorted(elems)`, priced in one
+/// streaming pass without building the run list: a run starts at a gap or
+/// at a chunk boundary, where the container count also steps.
+fn chunked_cost_bits_sorted(elems: &[u32], universe: usize) -> u64 {
+    let mut bits = 0u64;
+    // (key, card, nruns) of the open container, and the previous element.
+    let mut open: Option<(u32, usize, usize)> = None;
+    let mut prev = 0u32;
+    for &e in elems {
+        let key = e >> CHUNK_BITS;
+        match &mut open {
+            Some((k, card, nruns)) if *k == key => {
+                *nruns += usize::from(e != prev + 1);
+                *card += 1;
+            }
+            _ => {
+                if let Some((k, card, nruns)) = open {
+                    bits += 32 * CONTAINER_META as u64 + container_cost(card, nruns, universe, k).1;
+                }
+                open = Some((key, 1, 1));
+            }
+        }
+        prev = e;
+    }
+    if let Some((k, card, nruns)) = open {
+        bits += 32 * CONTAINER_META as u64 + container_cost(card, nruns, universe, k).1;
     }
     bits
 }
@@ -3443,5 +3472,64 @@ mod tests {
         assert_eq!(e.stored_bits(), before_ef);
         assert_eq!(c, chunked_src.get(0));
         assert_eq!(e, ef_src.get(0));
+    }
+
+    /// Sorted element lists built from runs placed near chunk boundaries
+    /// (so runs cross them) plus scattered singletons, over a ragged
+    /// four-chunk universe.
+    fn arb_runs_list() -> impl proptest::Strategy<Value = (usize, Vec<u32>)> {
+        use proptest::prelude::*;
+        (0usize..3 * CHUNK / 2).prop_flat_map(|ragged| {
+            let n = 3 * CHUNK - CHUNK / 2 + ragged;
+            (
+                proptest::collection::vec((0u32..4, 0u32..160, 1u32..120), 0..10),
+                proptest::collection::vec(0u32..n as u32, 0..40),
+            )
+                .prop_map(move |(runs, singles)| {
+                    let mut v: Vec<u32> = singles;
+                    for (k, off, len) in runs {
+                        // Start up to 80 elements either side of a boundary.
+                        let start = (k * CHUNK as u32 + off).saturating_sub(80);
+                        v.extend((start..start + len).filter(|&e| (e as usize) < n));
+                    }
+                    v.sort_unstable();
+                    v.dedup();
+                    (n, v)
+                })
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn streamed_chunked_cost_matches_run_list_cost(inst in arb_runs_list()) {
+            let (n, elems) = inst;
+            proptest::prop_assert_eq!(
+                chunked_cost_bits_sorted(&elems, n),
+                chunked_cost_bits(&runs_from_sorted(&elems), n)
+            );
+        }
+    }
+
+    #[test]
+    fn streamed_chunked_cost_on_boundary_runs() {
+        let n = 2 * CHUNK + 100;
+        let c = CHUNK as u32;
+        for elems in [
+            vec![],
+            vec![c - 1, c],
+            (c - 5..c + 5).collect(),
+            (0..n as u32).collect(),
+            (c - 3..2 * c + 3).chain([2 * c + 50]).collect::<Vec<_>>(),
+        ] {
+            assert_eq!(
+                chunked_cost_bits_sorted(&elems, n),
+                chunked_cost_bits(&runs_from_sorted(&elems), n),
+                "{} elements from {:?}",
+                elems.len(),
+                elems.first()
+            );
+        }
     }
 }

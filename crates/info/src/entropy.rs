@@ -68,14 +68,20 @@ impl Empirical {
     /// The plug-in estimator is biased downward by roughly
     /// `(support−1)/(2N·ln 2)` (Miller–Madow); callers that care apply
     /// [`Empirical::entropy_miller_madow`].
+    ///
+    /// The terms are summed in sorted-count order, not in the hash map's
+    /// per-process order, so the estimate is bit-identical across runs and
+    /// insertion orders.
     pub fn entropy(&self) -> f64 {
         if self.total == 0 {
             return 0.0;
         }
         let n = self.total as f64;
-        self.counts
-            .values()
-            .map(|&c| {
+        let mut counts: Vec<u64> = self.counts.values().copied().collect();
+        counts.sort_unstable();
+        counts
+            .into_iter()
+            .map(|c| {
                 let p = c as f64 / n;
                 -p * p.log2()
             })
@@ -140,6 +146,30 @@ fn pack2(a: u64, b: u64) -> u64 {
 mod tests {
     use super::*;
     use rand::{rngs::StdRng, Rng, SeedableRng};
+
+    #[test]
+    fn entropy_is_bit_identical_across_insertion_orders() {
+        let mut rng = StdRng::seed_from_u64(76);
+        // Many symbols with uneven counts, so the summation order matters
+        // in floating point.
+        let samples: Vec<u64> = (0..5000)
+            .map(|_| {
+                let r = rng.gen_range(0u64..1000);
+                r * r % 977
+            })
+            .collect();
+        let forward = Empirical::from_samples(&samples).entropy();
+        let mut reversed = samples.clone();
+        reversed.reverse();
+        for _ in 0..8 {
+            // Each fresh map gets its own hasher keys, hence its own order.
+            assert_eq!(
+                Empirical::from_samples(&reversed).entropy().to_bits(),
+                forward.to_bits()
+            );
+            reversed.rotate_left(977);
+        }
+    }
 
     #[test]
     fn binary_entropy_values() {

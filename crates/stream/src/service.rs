@@ -6,7 +6,7 @@
 //! call; a deployment answering a heavy-tailed query mix over one large
 //! system wants the opposite: *keep* the system resident, mutate it in
 //! place, and share work between queries that arrive together. The service
-//! adds exactly three mechanisms on top of the existing engine, none of
+//! adds exactly four mechanisms on top of the existing engine, none of
 //! which may change a single answer byte:
 //!
 //! * **Epoch-keyed caching.** The resident system carries a mutation
@@ -25,6 +25,16 @@
 //!   many more will be requested), so `max_cover(3)` then `max_cover(10)`
 //!   seeds the heap once and extends the same chain by seven picks instead
 //!   of reseeding from scratch.
+//! * **Postings-seeded subset covers.** Beside the resident system the
+//!   service keeps an element → set postings index, under the same lock.
+//!   A [`cover_for_subset`] miss counts posting hits over the target's
+//!   elements and seeds its CELF heap from the sets it touched
+//!   ([`CelfHeap::from_bounds`]), instead of sweeping every set: a target
+//!   of `t` elements costs about `t` times the mean element frequency in
+//!   increments, not `m` set decodes. `add_set` appends the new id to its
+//!   elements' lists; `remove_set` leaves them alone (a tombstone reads as
+//!   empty, so its stale bound refreshes to 0 and the heap drops it); a
+//!   compaction rebuilds the index.
 //!
 //! The standing invariant — the serving-layer analogue of the runtime's
 //! determinism contract — is that **every response is byte-identical to a
@@ -59,6 +69,7 @@
 //! harnesses rely on).
 //!
 //! [`max_cover`]: CoverService::max_cover
+//! [`cover_for_subset`]: CoverService::cover_for_subset
 
 use crate::report::{CoverRun, SetCoverStreamer};
 use crate::runtime::{ExecPolicy, Runtime};
@@ -69,10 +80,7 @@ use rand::SeedableRng;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
-use streamcover_core::{
-    greedy_cover_until, greedy_cover_until_sharded_in, BitSet, CelfHeap, CompactionMap, SetId,
-    SetSystem,
-};
+use streamcover_core::{greedy_cover_until, BitSet, CelfHeap, CompactionMap, SetId, SetSystem};
 
 /// When the service reclaims tombstoned arena bytes: compact as soon as
 /// the resident system's [`live_ratio`](SetSystem::live_ratio) drops below
@@ -363,6 +371,69 @@ impl Chain {
     }
 }
 
+/// The resident system and its element → set postings index, kept in
+/// step under one lock: every committed mutation updates both.
+struct Resident {
+    sys: SetSystem,
+    /// `postings[e]`: ids of the sets that contained `e` when added, in
+    /// increasing order. Removes leave the lists alone, so an id here may
+    /// be a tombstone; a compaction rebuilds them.
+    postings: Vec<Vec<SetId>>,
+}
+
+impl Resident {
+    fn new(sys: SetSystem) -> Resident {
+        let postings = Resident::index(&sys);
+        Resident { sys, postings }
+    }
+
+    /// The postings lists of `sys`, decoding each set once.
+    fn index(sys: &SetSystem) -> Vec<Vec<SetId>> {
+        let mut postings = vec![Vec::new(); sys.universe()];
+        for (i, set) in sys.iter() {
+            for e in set.iter() {
+                postings[e].push(i);
+            }
+        }
+        postings
+    }
+
+    /// Appends a canonical (sorted, deduplicated) set. Its id is the
+    /// largest yet, so every list stays increasing.
+    fn add_set(&mut self, elems: &[u32]) -> SetId {
+        let id = self.sys.add_set(elems);
+        for &e in elems {
+            self.postings[e as usize].push(id);
+        }
+        id
+    }
+
+    /// Compacts the system and rebuilds the index over the new ids.
+    fn compact(&mut self) -> CompactionMap {
+        let map = self.sys.compact();
+        self.postings = Resident::index(&self.sys);
+        map
+    }
+
+    /// The CELF seed for a canonical target: each touched set's posting
+    /// hit count. That is `|S ∩ target|` for a live set and a stale
+    /// bound ≥ 0 for a tombstone, and every set with a positive gain is
+    /// touched — the [`CelfHeap::from_bounds`] precondition.
+    fn subset_seed(&self, target: &[u32]) -> CelfHeap {
+        let mut hits = vec![0u32; self.sys.len()];
+        let mut touched = Vec::new();
+        for &e in target {
+            for &i in &self.postings[e as usize] {
+                if hits[i] == 0 {
+                    touched.push(i);
+                }
+                hits[i] += 1;
+            }
+        }
+        CelfHeap::from_bounds(touched.into_iter().map(|i| (i, hits[i] as usize)))
+    }
+}
+
 /// A long-lived, thread-safe serving handle over one resident
 /// [`SetSystem`]: concurrent queries, in-place mutations, epoch-keyed
 /// caching, request coalescing and incremental CELF-chain reuse — every
@@ -395,7 +466,7 @@ pub struct CoverService {
     compaction: Option<CompactionPolicy>,
     /// The resident system's universe size; no mutation changes it.
     universe: usize,
-    resident: RwLock<SetSystem>,
+    resident: RwLock<Resident>,
     cache: Mutex<Cache>,
     chain: Mutex<Option<Chain>>,
     /// The most recent auto-compaction: `(epoch it produced, id remap)`.
@@ -417,10 +488,12 @@ impl CoverService {
     }
 
     /// A service over `system` executing on `rt` under `policy` — the
-    /// policy's [`workers`](ExecPolicy::workers) sizes the heap seeding
-    /// fan-out and its seedless fields configure streaming runs.
-    /// Answers are identical for every runtime size and policy fan-out
-    /// (the engine's determinism contract).
+    /// policy's [`workers`](ExecPolicy::workers) sizes only the seeding
+    /// sweep of the [`max_cover`](Self::max_cover) chain (subset covers
+    /// seed from the postings index), and its seedless fields configure
+    /// streaming runs. Answers are identical for every runtime size and
+    /// policy fan-out (the engine's determinism contract). Builds the
+    /// element → set postings index, decoding each set once.
     pub fn with(system: SetSystem, rt: &'static Runtime, policy: ExecPolicy) -> CoverService {
         let epoch = system.epoch();
         CoverService {
@@ -428,7 +501,7 @@ impl CoverService {
             policy,
             compaction: None,
             universe: system.universe(),
-            resident: RwLock::new(system),
+            resident: RwLock::new(Resident::new(system)),
             cache: Mutex::new(Cache {
                 epoch,
                 entries: HashMap::new(),
@@ -492,7 +565,8 @@ impl CoverService {
     /// Greedy cover of the target elements: byte-identical to
     /// `greedy_cover_until(&system, usize::MAX, &target)` at the answer's
     /// epoch. Cached per `(epoch, canonical target)` and coalesced across
-    /// threads.
+    /// threads; a miss seeds its CELF heap from the postings index, so it
+    /// touches only the sets that meet the target.
     ///
     /// # Panics
     /// Panics if any target element is `>= universe()`.
@@ -507,10 +581,11 @@ impl CoverService {
             assert!((e as usize) < n, "element {e} out of universe [{n}]");
         }
         let key = QueryKey::Cover(canon.clone());
-        let answer = self.serve_cached(key, |sys, epoch| {
-            let tb = BitSet::from_iter(sys.universe(), canon.iter().map(|&e| e as usize));
-            let r =
-                greedy_cover_until_sharded_in(self.rt, sys, self.policy.workers, usize::MAX, &tb);
+        let answer = self.serve_cached(key, |res, epoch| {
+            let tb = BitSet::from_iter(n, canon.iter().map(|&e| e as usize));
+            let r = res
+                .subset_seed(&canon)
+                .cover_until(&res.sys, usize::MAX, &tb);
             Answer::Cover(CoverAnswer {
                 epoch,
                 covered: r.coverage(),
@@ -531,7 +606,8 @@ impl CoverService {
     /// query whose budget the chain already covers runs no solver at all
     /// (counted as a cache hit).
     pub fn max_cover(&self, k: usize) -> CoverAnswer {
-        let sys = self.resident.read().expect("resident system poisoned");
+        let res = self.resident.read().expect("resident system poisoned");
+        let sys = &res.sys;
         let epoch = sys.epoch();
         self.queries.fetch_add(1, Ordering::Relaxed);
         // The chain mutex serializes same-epoch chain queries: simultaneous
@@ -544,10 +620,10 @@ impl CoverService {
                 .as_ref()
                 .is_some_and(|c| c.exhausted || c.picks.len() >= k);
         if stale {
-            *slot = Some(Chain::seed(self.rt, &sys, self.policy.workers, epoch));
+            *slot = Some(Chain::seed(self.rt, sys, self.policy.workers, epoch));
         }
         let chain = slot.as_mut().expect("chain just seeded");
-        chain.extend_to(&sys, k);
+        chain.extend_to(sys, k);
         if served_from_prefix {
             self.cache_hits.fetch_add(1, Ordering::Relaxed);
         } else {
@@ -562,13 +638,13 @@ impl CoverService {
     /// StdRng::seed_from_u64(seed))` at the answer's epoch. Cached per
     /// `(epoch, seed)` and coalesced across threads.
     pub fn stream_cover(&self, seed: u64) -> StreamAnswer {
-        let answer = self.serve_cached(QueryKey::Stream(seed), |sys, epoch| {
+        let answer = self.serve_cached(QueryKey::Stream(seed), |res, epoch| {
             Answer::Stream(stream_answer(
                 epoch,
                 ThresholdGreedy.run_in(
                     self.rt,
                     &self.policy.seed(seed),
-                    sys,
+                    &res.sys,
                     Arrival::Random { seed },
                     &mut StdRng::seed_from_u64(seed),
                 ),
@@ -586,8 +662,8 @@ impl CoverService {
     /// `epoch` is the *current* epoch the hypothetical is based on.
     pub fn what_if(&self, mutation: Mutation, query: Query) -> Answer {
         let (mut clone, epoch) = {
-            let sys = self.resident.read().expect("resident system poisoned");
-            (sys.clone(), sys.epoch())
+            let res = self.resident.read().expect("resident system poisoned");
+            (res.sys.clone(), res.sys.epoch())
         };
         self.queries.fetch_add(1, Ordering::Relaxed);
         self.computed.fetch_add(1, Ordering::Relaxed);
@@ -645,9 +721,9 @@ impl CoverService {
         let mut canon = elems.to_vec();
         canon.sort_unstable();
         canon.dedup();
-        let mut sys = self.resident.write().expect("resident system poisoned");
-        let id = sys.add_set(&canon);
-        let epoch = sys.epoch();
+        let mut res = self.resident.write().expect("resident system poisoned");
+        let id = res.add_set(&canon);
+        let epoch = res.sys.epoch();
         self.invalidate(epoch);
         (epoch, id)
     }
@@ -665,19 +741,19 @@ impl CoverService {
     /// # Panics
     /// Panics if `id` is out of range.
     pub fn remove_set(&self, id: SetId) -> u64 {
-        let mut sys = self.resident.write().expect("resident system poisoned");
-        sys.remove_set(id);
+        let mut res = self.resident.write().expect("resident system poisoned");
+        res.sys.remove_set(id);
         if let Some(policy) = &self.compaction {
-            if sys.live_ratio() < policy.min_live_ratio() {
-                let map = sys.compact();
+            if res.sys.live_ratio() < policy.min_live_ratio() {
+                let map = res.compact();
                 *self
                     .last_compaction
                     .lock()
-                    .expect("compaction log poisoned") = Some((sys.epoch(), map));
+                    .expect("compaction log poisoned") = Some((res.sys.epoch(), map));
                 self.compactions.fetch_add(1, Ordering::Relaxed);
             }
         }
-        let epoch = sys.epoch();
+        let epoch = res.sys.epoch();
         self.invalidate(epoch);
         epoch
     }
@@ -699,6 +775,7 @@ impl CoverService {
         self.resident
             .read()
             .expect("resident system poisoned")
+            .sys
             .tombstone_bits()
     }
 
@@ -708,6 +785,7 @@ impl CoverService {
         self.resident
             .read()
             .expect("resident system poisoned")
+            .sys
             .live_ratio()
     }
 
@@ -729,6 +807,7 @@ impl CoverService {
         self.resident
             .read()
             .expect("resident system poisoned")
+            .sys
             .epoch()
     }
 
@@ -742,6 +821,7 @@ impl CoverService {
         self.resident
             .read()
             .expect("resident system poisoned")
+            .sys
             .len()
     }
 
@@ -751,6 +831,7 @@ impl CoverService {
         self.resident
             .read()
             .expect("resident system poisoned")
+            .sys
             .clone()
     }
 
@@ -764,10 +845,10 @@ impl CoverService {
     fn serve_cached(
         &self,
         key: QueryKey,
-        compute: impl FnOnce(&SetSystem, u64) -> Answer,
+        compute: impl FnOnce(&Resident, u64) -> Answer,
     ) -> Answer {
-        let sys = self.resident.read().expect("resident system poisoned");
-        let epoch = sys.epoch();
+        let res = self.resident.read().expect("resident system poisoned");
+        let epoch = res.sys.epoch();
         self.queries.fetch_add(1, Ordering::Relaxed);
         let flight = {
             let mut cache = self.cache.lock().expect("cache poisoned");
@@ -801,7 +882,7 @@ impl CoverService {
             }
             return slot.clone().expect("flight filled");
         }
-        let answer = compute(&sys, epoch);
+        let answer = compute(&res, epoch);
         self.computed.fetch_add(1, Ordering::Relaxed);
         let old = {
             let mut cache = self.cache.lock().expect("cache poisoned");

@@ -5,8 +5,11 @@
 //! system from the mutation log and recomputes every sampled answer fresh.
 //! Every field of every response — picks, coverage, feasibility, passes,
 //! peak bits — must be byte-identical to the fresh single-threaded run at
-//! its epoch, at 1/2/4/8 threads: caching, coalescing and CELF-chain reuse
-//! are execution optimizations only, never visible in an answer.
+//! its epoch, at 1/2/4/8 threads: caching, coalescing, CELF-chain reuse and
+//! the postings-seeded subset covers are execution optimizations only,
+//! never visible in an answer. The compaction batteries rerun this under an
+//! auto-compaction policy that fires (the postings index is rebuilt over
+//! renumbered ids), for every layout forcing and chain fan-outs 1 and 2.
 
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::sync::Mutex;
@@ -40,6 +43,49 @@ fn apply(sys: &mut SetSystem, m: &Mutation) {
         Mutation::Remove { id } => sys.remove_set(*id),
     }
 }
+
+/// Replays one logged `(epoch, mutation)`: a remove the service followed
+/// with an auto-compaction logged the post-compaction epoch, one past the
+/// mutation's own bump, and the replay compacts the same way.
+fn advance(sys: &mut SetSystem, (epoch, m): &(u64, Mutation)) {
+    apply(sys, m);
+    if sys.epoch() < *epoch {
+        sys.compact();
+    }
+    assert_eq!(sys.epoch(), *epoch, "replay epoch out of step with the log");
+}
+
+/// One battery configuration.
+#[derive(Clone, Copy, Debug)]
+struct Config {
+    threads: usize,
+    /// Layout policy of the resident system (added sets follow it too).
+    repr: ReprPolicy,
+    /// Auto-compaction threshold, if any.
+    compaction: Option<f64>,
+    /// `ExecPolicy::workers`: the fan-out of the max-cover chain's seeding.
+    workers: usize,
+}
+
+impl Config {
+    fn plain(threads: usize) -> Config {
+        Config {
+            threads,
+            repr: ReprPolicy::Auto,
+            compaction: None,
+            workers: 2,
+        }
+    }
+}
+
+/// Every layout policy, forcings included.
+const REPRS: [ReprPolicy; 5] = [
+    ReprPolicy::Auto,
+    ReprPolicy::ForceSparse,
+    ReprPolicy::ForceDense,
+    ReprPolicy::ForceChunked,
+    ReprPolicy::ForceEliasFano,
+];
 
 /// Recomputes `query` fresh and single-threaded against `sys` and asserts
 /// the served answer is byte-identical.
@@ -76,20 +122,31 @@ fn assert_matches_fresh(sys: &SetSystem, query: &Query, answer: &Answer, ctx: &s
     }
 }
 
-/// The battery at one thread count.
-fn run_battery(threads: usize) {
+/// The battery at one configuration.
+fn run_battery(cfg: Config) {
+    let threads = cfg.threads;
     let mut rng = StdRng::seed_from_u64(2017 + threads as u64);
     let w = planted_cover(&mut rng, 256, 48, 6);
-    let initial = w.system.clone();
-    let n = initial.universe();
-    let m0 = initial.len();
-    let svc = CoverService::with(
-        w.system,
+    let n = w.system.universe();
+    let mut initial = SetSystem::with_policy(n, cfg.repr);
+    for (_, set) in w.system.iter() {
+        let elems: Vec<u32> = set.iter().map(|e| e as u32).collect();
+        initial.push_sorted(&elems);
+    }
+    let mut svc = CoverService::with(
+        initial.clone(),
         Runtime::global(),
-        ExecPolicy::sequential().workers(2),
+        ExecPolicy::sequential().workers(cfg.workers),
     );
+    if let Some(ratio) = cfg.compaction {
+        svc = svc.with_compaction_policy(CompactionPolicy::at_live_ratio(ratio));
+    }
     let pool = target_pool(n);
     let mutation_log: Mutex<Vec<(u64, Mutation)>> = Mutex::new(Vec::new());
+    // A compaction shrinks the id range. With a policy set, a thread holds
+    // this gate from drawing an id until its remove or hypothetical is
+    // served, so the id stays in range; without one the range only grows.
+    let gate = Mutex::new(());
 
     let mut samples: Vec<Sample> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..threads)
@@ -97,6 +154,8 @@ fn run_battery(threads: usize) {
                 let svc = &svc;
                 let pool = &pool;
                 let mutation_log = &mutation_log;
+                let gate = &gate;
+                let hold = || cfg.compaction.map(|_| gate.lock().unwrap());
                 s.spawn(move || {
                     let mut rng = StdRng::seed_from_u64(1000 * (t as u64 + 1));
                     let mut out = Vec::new();
@@ -112,10 +171,10 @@ fn run_battery(threads: usize) {
                                     .push((epoch, Mutation::Add { elems }));
                             }
                             1 => {
-                                // Only initial ids: always in range, and
-                                // removing a tombstone is a legal no-op
+                                // Removing a tombstone is a legal no-op
                                 // mutation (still bumps the epoch).
-                                let id = rng.gen_range(0..m0);
+                                let _held = hold();
+                                let id = rng.gen_range(0..svc.num_sets());
                                 let epoch = svc.remove_set(id);
                                 mutation_log
                                     .lock()
@@ -123,13 +182,14 @@ fn run_battery(threads: usize) {
                                     .push((epoch, Mutation::Remove { id }));
                             }
                             2 => {
+                                let _held = hold();
                                 let hypo = if rng.gen_bool(0.5) {
                                     Mutation::Add {
                                         elems: random_subset_elems(&mut rng, n, 16),
                                     }
                                 } else {
                                     Mutation::Remove {
-                                        id: rng.gen_range(0..m0),
+                                        id: rng.gen_range(0..svc.num_sets()),
                                     }
                                 };
                                 let query = Query::MaxCover {
@@ -184,12 +244,18 @@ fn run_battery(threads: usize) {
     let mut log = mutation_log.into_inner().unwrap();
     log.sort_by_key(|&(epoch, _)| epoch);
     // Mutations serialize under the write lock and bump the epoch by
-    // exactly one each: the logged epochs must be consecutive from the
-    // initial system's epoch.
-    for (i, &(epoch, _)) in log.iter().enumerate() {
-        assert_eq!(epoch, initial.epoch() + 1 + i as u64, "epoch gap in log");
+    // exactly one each, plus one for a compaction: without a policy the
+    // logged epochs must be consecutive from the initial system's epoch.
+    let mut prev = initial.epoch();
+    for &(epoch, _) in &log {
+        let step = epoch - prev;
+        assert!(
+            step == 1 || (step == 2 && cfg.compaction.is_some()),
+            "epoch gap in log ({cfg:?})"
+        );
+        prev = epoch;
     }
-    assert_eq!(svc.epoch(), initial.epoch() + log.len() as u64);
+    assert_eq!(svc.epoch(), prev);
 
     // Sequential replay: walk the samples in epoch order, advancing a
     // rolling copy of the initial system through the mutation log, and
@@ -200,7 +266,7 @@ fn run_battery(threads: usize) {
     for (i, sample) in samples.iter().enumerate() {
         let epoch = sample.answer.epoch();
         while replay.epoch() < epoch {
-            apply(&mut replay, &log[applied].1);
+            advance(&mut replay, &log[applied]);
             applied += 1;
         }
         assert_eq!(
@@ -208,7 +274,7 @@ fn run_battery(threads: usize) {
             epoch,
             "sample {i}: served epoch must be reachable by replay"
         );
-        let ctx = format!("threads={threads} sample={i} epoch={epoch}");
+        let ctx = format!("{cfg:?} sample={i} epoch={epoch}");
         match &sample.hypo {
             None => assert_matches_fresh(&replay, &sample.query, &sample.answer, &ctx),
             Some(hypo) => {
@@ -241,24 +307,66 @@ fn run_battery(threads: usize) {
         stats.queries,
         "every query is exactly one of hit / coalesced / computed ({stats:?})"
     );
+    if cfg.compaction.is_some() {
+        assert!(stats.compactions >= 1, "the policy never fired ({cfg:?})");
+    }
 }
+
+/// The compaction battery at one thread count, over every layout policy
+/// and chain fan-outs 1 and 2.
+fn run_compaction_batteries(threads: usize) {
+    for repr in REPRS {
+        for workers in [1, 2] {
+            run_battery(Config {
+                threads,
+                repr,
+                compaction: Some(COMPACT_BELOW),
+                workers,
+            });
+        }
+    }
+}
+
+/// Live ratio under which the compaction batteries compact: high enough
+/// that a few removes fire it, low enough that tombstones live between.
+const COMPACT_BELOW: f64 = 0.97;
 
 #[test]
 fn service_responses_replay_sequentially_at_1_thread() {
-    run_battery(1);
+    run_battery(Config::plain(1));
 }
 
 #[test]
 fn service_responses_replay_sequentially_at_2_threads() {
-    run_battery(2);
+    run_battery(Config::plain(2));
 }
 
 #[test]
 fn service_responses_replay_sequentially_at_4_threads() {
-    run_battery(4);
+    run_battery(Config::plain(4));
 }
 
 #[test]
 fn service_responses_replay_sequentially_at_8_threads() {
-    run_battery(8);
+    run_battery(Config::plain(8));
+}
+
+#[test]
+fn service_responses_replay_under_compaction_at_1_thread() {
+    run_compaction_batteries(1);
+}
+
+#[test]
+fn service_responses_replay_under_compaction_at_2_threads() {
+    run_compaction_batteries(2);
+}
+
+#[test]
+fn service_responses_replay_under_compaction_at_4_threads() {
+    run_compaction_batteries(4);
+}
+
+#[test]
+fn service_responses_replay_under_compaction_at_8_threads() {
+    run_compaction_batteries(8);
 }
