@@ -291,6 +291,9 @@ fn runs_zipf_catalog(rng: &mut StdRng, n: usize, m: usize) -> Vec<Vec<(u32, u32)
 /// runs-structured Zipf catalog. Identity is hard-gated in-arm: every
 /// store-repr × residual-repr sweep pairing (plus `Auto` and the columnar
 /// dense walk) must reproduce the ForceSparse gains vector bit-for-bit.
+/// `gains_vs_ref` materializes a non-bitmap residual once and sweeps it as
+/// a bitmap, so the pairings check each layout's bitmap kernel and the
+/// materialization.
 /// `--check` additionally requires the chunked encoding to land at ≤ 0.6×
 /// the best flat encoding, and `Auto` to be no worse than every forcing.
 fn bench_repr(scale: &'static str, n: usize, m: usize, seed: u64) -> ReprRow {

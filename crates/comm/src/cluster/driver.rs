@@ -393,8 +393,14 @@ pub fn run_owner_process(
     let mut store = SetStore::with_policy(universe, streamcover_core::ReprPolicy::Auto);
     for _ in 0..nsets {
         match link.recv()? {
-            Frame::SetPayload(set) => {
+            Frame::SetPayload(set) if set.universe() == universe => {
                 set.push_into(&mut store);
+            }
+            Frame::SetPayload(set) => {
+                return Err(ClusterError::Protocol(format!(
+                    "owner {owner}: set over universe {} in a universe-{universe} shard",
+                    set.universe()
+                )))
             }
             other => {
                 return Err(ClusterError::Protocol(format!(
@@ -431,4 +437,65 @@ fn unique_socket_path() -> PathBuf {
         "streamcover-cluster-{}-{n}.sock",
         std::process::id()
     ))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use streamcover_core::{BitSet, SetRef};
+
+    /// Runs `run_owner_process` against a hand-driven coordinator that
+    /// sends `Hello` over `universe` and then the given set payloads.
+    fn owner_fed(universe: usize, sets: &[SetRef<'_>]) -> Result<(), ClusterError> {
+        let path = unique_socket_path();
+        let listener = UnixListener::bind(&path).expect("bind");
+        let _cleanup = PathCleanup(path.clone());
+        let owner = std::thread::spawn(move || run_owner_process(&path, 0, None));
+        let (stream, _) = listener.accept().expect("accept");
+        let mut link = SocketTransport::new(stream);
+        assert_eq!(link.recv().expect("join"), Frame::Join { owner: 0 });
+        let target = BitSet::from_iter(universe, 0..universe);
+        link.send(&Frame::Hello {
+            owners: 1,
+            owner: 0,
+            id_base: 0,
+            nsets: sets.len() as u64,
+            universe: universe as u64,
+            target_words: wire::bitset_words(&target),
+        })
+        .expect("hello");
+        for &s in sets {
+            link.send(&Frame::SetPayload(OwnedSet::from_ref(s)))
+                .expect("set");
+        }
+        drop(link);
+        owner.join().expect("owner thread must not panic")
+    }
+
+    #[test]
+    fn owner_rejects_a_set_over_another_universe() {
+        let got = owner_fed(
+            64,
+            &[SetRef::Sparse {
+                elems: &[1, 100],
+                universe: 128,
+            }],
+        );
+        assert!(matches!(got, Err(ClusterError::Protocol(_))), "{got:?}");
+    }
+
+    #[test]
+    fn owner_rejects_an_out_of_universe_sparse_body() {
+        let got = owner_fed(
+            64,
+            &[SetRef::Sparse {
+                elems: &[1_000_000, 5],
+                universe: 64,
+            }],
+        );
+        assert!(
+            matches!(got, Err(ClusterError::Wire(wire::WireError::BadPayload(_)))),
+            "{got:?}"
+        );
+    }
 }

@@ -482,15 +482,26 @@ pub fn decode_set_payload(bytes: &[u8]) -> Result<OwnedSet, WireError> {
     Ok(set)
 }
 
+/// Decodes one set body. Sparse and dense bodies are validated against
+/// the arena invariants the unchecked kernels rely on (sorted in-universe
+/// elements; no bits past the universe and a consistent card); chunked and
+/// Elias–Fano bodies are checked for framing only.
 fn decode_set_body(r: &mut Reader<'_>) -> Result<OwnedSet, WireError> {
     let universe = r.u64()? as usize;
     let tag = r.u8()?;
     let repr = match tag {
         TAG_SPARSE => {
             let card = r.u32()? as usize;
-            OwnedRepr::Sparse {
-                elems: r.u32s(card)?,
+            let elems = r.u32s(card)?;
+            // The arena kernels probe sparse elements unchecked: they must
+            // be strictly increasing and inside the universe.
+            if elems.windows(2).any(|w| w[0] >= w[1]) {
+                return Err(WireError::BadPayload("sparse elements not increasing"));
             }
+            if elems.last().is_some_and(|&e| e as usize >= universe) {
+                return Err(WireError::BadPayload("sparse element outside the universe"));
+            }
+            OwnedRepr::Sparse { elems }
         }
         TAG_DENSE => {
             let wire_card = r.u64()?;
@@ -503,10 +514,17 @@ fn decode_set_body(r: &mut Reader<'_>) -> Result<OwnedSet, WireError> {
             if nwords != universe.div_ceil(64) {
                 return Err(WireError::BadPayload("dense word count"));
             }
-            OwnedRepr::Dense {
-                words: r.u64s(nwords)?,
-                card,
+            let words = r.u64s(nwords)?;
+            let tail = universe % 64;
+            if tail != 0 && words.last().is_some_and(|&w| w >> tail != 0) {
+                return Err(WireError::BadPayload("dense bits outside the universe"));
             }
+            if card != CARD_UNKNOWN
+                && card != words.iter().map(|w| w.count_ones() as usize).sum::<usize>()
+            {
+                return Err(WireError::BadPayload("dense card"));
+            }
+            OwnedRepr::Dense { words, card }
         }
         TAG_CHUNKED => {
             let card = r.u64()? as usize;
@@ -724,6 +742,94 @@ mod tests {
             let mut back = SetStore::with_policy(1 << 17, ReprPolicy::Auto);
             owned.push_into(&mut back);
             assert_eq!(back.get(0), original, "{policy:?} push_ref");
+        }
+    }
+
+    /// A `SetPayload` frame carrying a hand-built (unvalidated) set view.
+    fn set_frame(s: SetRef<'_>) -> Vec<u8> {
+        encode_frame(&Frame::SetPayload(OwnedSet::from_ref(s)))
+    }
+
+    fn assert_bad_payload(bytes: &[u8]) {
+        assert!(
+            matches!(decode_frame(bytes), Err(WireError::BadPayload(_))),
+            "{:?}",
+            decode_frame(bytes)
+        );
+    }
+
+    #[test]
+    fn sparse_body_outside_the_universe_is_rejected() {
+        // A one-set body over universe 64 whose first element is 1,000,000:
+        // stored verbatim it would send the unchecked probe out of bounds.
+        assert_bad_payload(&set_frame(SetRef::Sparse {
+            elems: &[1_000_000, 5],
+            universe: 64,
+        }));
+        assert_bad_payload(&set_frame(SetRef::Sparse {
+            elems: &[3, 64],
+            universe: 64,
+        }));
+    }
+
+    #[test]
+    fn unsorted_sparse_body_is_rejected() {
+        for elems in [&[9u32, 3][..], &[3, 3], &[1, 7, 2]] {
+            assert_bad_payload(&set_frame(SetRef::Sparse {
+                elems,
+                universe: 64,
+            }));
+        }
+    }
+
+    #[test]
+    fn dense_body_with_bits_past_the_universe_is_rejected() {
+        assert_bad_payload(&set_frame(SetRef::Dense {
+            words: &[1, 1 << 2],
+            universe: 66,
+            card: CARD_UNKNOWN,
+        }));
+    }
+
+    #[test]
+    fn dense_body_with_a_wrong_card_is_rejected() {
+        assert_bad_payload(&set_frame(SetRef::Dense {
+            words: &[0b1011, 1],
+            universe: 66,
+            card: 3,
+        }));
+    }
+
+    #[test]
+    fn validated_bodies_still_roundtrip_in_every_layout() {
+        // Ragged universes, the last element and bit, empty sets, and a
+        // lazily counted dense view.
+        for universe in [1usize, 64, 130] {
+            let last = universe as u32 - 1;
+            let mut ends = vec![0, last];
+            ends.dedup();
+            for elems in [vec![], ends, (0..=last).step_by(3).collect()] {
+                for policy in [
+                    ReprPolicy::ForceSparse,
+                    ReprPolicy::ForceDense,
+                    ReprPolicy::ForceChunked,
+                    ReprPolicy::ForceEliasFano,
+                ] {
+                    let st = store_with(policy, universe, &elems);
+                    let bytes = set_frame(st.get(0));
+                    match decode_frame(&bytes) {
+                        Ok(Frame::SetPayload(owned)) => {
+                            assert_eq!(owned.as_set_ref(), st.get(0), "{policy:?} n={universe}")
+                        }
+                        other => panic!("{policy:?} n={universe}: {other:?}"),
+                    }
+                }
+                let bits = BitSet::from_iter(universe, elems.iter().map(|&e| e as usize));
+                let bytes = set_frame(bits.as_set_ref());
+                assert!(
+                    matches!(decode_frame(&bytes), Ok(Frame::SetPayload(o)) if o.as_set_ref() == bits)
+                );
+            }
         }
     }
 

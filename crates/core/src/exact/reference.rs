@@ -6,7 +6,6 @@
 use crate::bitset::BitSet;
 use crate::exact::CoverError;
 use crate::greedy::greedy_cover_until;
-use crate::store::BatchedSweep;
 use crate::system::{SetId, SetSystem};
 
 struct Searcher<'a> {
@@ -22,8 +21,6 @@ struct Searcher<'a> {
     /// `sets_containing[e]` = ids of the sets containing element `e`
     /// (static: picking sets never changes which sets exist).
     sets_containing: Vec<Vec<SetId>>,
-    /// Scratch buffer for batched candidate-gain sweeps.
-    sweep: BatchedSweep,
     nodes: u64,
     node_budget: u64,
     budget_hit: bool,
@@ -88,11 +85,11 @@ impl<'a> Searcher<'a> {
         }
         let (elem, _) = pivot.expect("uncovered nonempty");
         // Candidate sets containing the pivot, largest marginal gain first
-        // (finds good solutions early ⇒ tighter pruning). Gains come from
-        // one batched sweep over the candidates' arena slices.
-        let ids = &self.sets_containing[elem];
-        let gains = self.sweep.gains_for(self.sys.store(), ids, uncovered);
-        let mut cands: Vec<(SetId, usize)> = ids.iter().zip(gains).map(|(&i, &g)| (i, g)).collect();
+        // (finds good solutions early ⇒ tighter pruning).
+        let mut cands: Vec<(SetId, usize)> = self.sets_containing[elem]
+            .iter()
+            .map(|&i| (i, self.sys.set(i).intersection_len(uncovered.as_set_ref())))
+            .collect();
         cands.sort_by_key(|&(_, gain)| std::cmp::Reverse(gain));
         for (i, _) in cands {
             let mut next = uncovered.clone();
@@ -142,7 +139,6 @@ pub(super) fn run_search(
         cap,
         sizes_desc,
         sets_containing,
-        sweep: BatchedSweep::new(),
         nodes: 0,
         node_budget,
         budget_hit: false,

@@ -24,12 +24,13 @@
 //! model the `SpaceMeter` charges.
 //!
 //! Reads go through [`SetRef`], a `Copy` borrowed view with the full set
-//! algebra. Binary operations dispatch to kernels specialized per
-//! representation pair: merge-walks for sparse×sparse, word ops for
-//! dense×dense, probes for the mixed cases, container-aligned AND-popcounts
-//! for chunked pairs, and block-decoded probes for Elias–Fano against word
-//! slabs; the rare cold pairs (e.g. chunked × Elias–Fano) decode to a
-//! scratch list and reuse the sparse kernels.
+//! algebra. Binary operations have two kinds of kernel. Every layout has
+//! one kernel against a word-packed bitmap — the tiered columnar probe
+//! for sparse lists, word-AND popcounts for dense sets, per-container word
+//! kernels for chunked sets, block-decoded probes for Elias–Fano — which
+//! runs whenever one side is `Dense` and under every [`BatchedSweep`].
+//! Every other pair decodes its compressed side(s) to a sorted `u32` list
+//! (a sparse list is borrowed) and runs the sparse×sparse merge.
 //!
 //! Deletion is tombstoning ([`SetStore::remove`]): the slot reads as empty
 //! while its arena bytes remain resident — and remain *charged* by
@@ -39,6 +40,7 @@
 
 use crate::bitset::BitSet;
 use crate::ceil_log2;
+use std::borrow::Cow;
 use std::fmt;
 
 /// Storage backend of one set inside a [`SetStore`].
@@ -760,7 +762,12 @@ impl SetStore {
     /// Panics if `i` is out of range.
     #[inline]
     pub fn get(&self, i: usize) -> SetRef<'_> {
-        let d = self.descs[i];
+        self.view(self.descs[i])
+    }
+
+    /// Borrowed view of one descriptor.
+    #[inline(always)]
+    fn view(&self, d: SetDesc) -> SetRef<'_> {
         match d.repr {
             SetRepr::Sparse => SetRef::Sparse {
                 elems: &self.sparse[d.off..d.off + d.card],
@@ -793,30 +800,6 @@ impl SetStore {
                     card: d.card,
                 }
             }
-        }
-    }
-
-    /// Internal borrowed container view of a chunked descriptor.
-    fn chunk_view(&self, d: SetDesc) -> ChunkView<'_> {
-        let meta_end = d.off + CONTAINER_META * d.aux;
-        ChunkView {
-            meta: &self.sparse[d.off..meta_end],
-            data32: &self.sparse[meta_end..meta_end + d.len32],
-            data64: &self.dense[d.off2..d.off2 + d.len64],
-            universe: self.universe,
-        }
-    }
-
-    /// Internal borrowed view of an Elias–Fano descriptor.
-    fn ef_view(&self, d: SetDesc) -> EfView<'_> {
-        let l = ef_low_bits(self.universe, d.card);
-        let hw = ef_high_words(self.universe, d.card, l);
-        let (high, low) = self.dense[d.off..d.off + d.len64].split_at(hw);
-        EfView {
-            high,
-            low,
-            l,
-            card: d.card,
         }
     }
 
@@ -895,18 +878,18 @@ impl CompactionMap {
 /// Batched many-vs-one coverage sweep: the gain `|S_i ∩ R|` of every stored
 /// set against one residual `R`, computed in a single walk over the arena.
 ///
-/// The per-set path (`store.get(i).intersection_len(residual)`) pays an enum
-/// dispatch, a universe assert, and a branchy `filter().count()` probe loop
-/// per set. The sweep instead walks the `u32` element arena columnarly —
-/// descriptors are laid out in insertion order, so the sparse arena is read
-/// strictly sequentially — probing the residual bitmap branchlessly with
-/// four independent accumulators (the probe chain is otherwise a serial
-/// data dependency), and streams word-AND popcounts for dense sets. Against
-/// a *sparse* residual view the sweep dispatches to the pairwise kernels,
-/// reusing the SSE2 block merge for sparse×sparse. Kernels dispatch at
-/// [`KernelTier::effective`] unless [`with_tier`](Self::with_tier) forces
-/// one: `Avx2` swaps in the gather probe and the block merge, `Scalar` runs
-/// the portable reference.
+/// The per-set path (`store.get(i).intersection_len(residual)`) pays a pair
+/// dispatch and a universe assert per set. The sweep instead walks the
+/// descriptors in insertion order — so the `u32` element arena is read
+/// strictly sequentially — and runs each layout's bitmap kernel against the
+/// residual's word slab: the branchless columnar probe (independent
+/// accumulators; the probe chain is otherwise a serial data dependency)
+/// for sparse sets and decoded Elias–Fano blocks, streamed word-AND
+/// popcounts for dense sets, per-container word kernels for chunked sets.
+/// A residual in any other layout is materialized once as a bitmap. Kernels
+/// dispatch at [`KernelTier::effective`] unless
+/// [`with_tier`](Self::with_tier) forces one: `Avx2` swaps in the gather
+/// probe, `Scalar` runs the portable reference.
 ///
 /// The gains buffer is owned by the sweep and reused across calls, so a
 /// solver loop allocates once.
@@ -953,42 +936,15 @@ impl BatchedSweep {
     /// # Panics
     /// Panics if the residual's capacity differs from the store's universe.
     pub fn gains(&mut self, store: &SetStore, residual: &BitSet) -> &[usize] {
-        self.gains_vs_ref(store, residual.as_set_ref())
-    }
-
-    /// Gains of the sets with the given ids (e.g. one worker's chunk of an
-    /// arrival order), in the given order.
-    ///
-    /// # Panics
-    /// Panics if the residual's capacity differs from the store's universe
-    /// or any id is out of range.
-    pub fn gains_for(&mut self, store: &SetStore, ids: &[usize], residual: &BitSet) -> &[usize] {
-        assert_eq!(
-            residual.capacity(),
-            store.universe,
-            "residual universe mismatch: {} vs {}",
-            residual.capacity(),
-            store.universe
-        );
-        let words = residual.words();
-        let tier = self.tier();
-        let kernel = sparse_sweep_kernel_for(tier);
-        self.gains.clear();
-        self.gains.reserve(ids.len());
-        for &i in ids {
-            self.gains
-                .push(sweep_one(store, &store.descs[i], words, kernel));
-        }
-        &self.gains
+        self.gains_span(store, 0..store.len(), residual)
     }
 
     /// Gains of a contiguous descriptor span `ids` against a dense
     /// residual, in span order — the shard-local sweep under
-    /// [`crate::shard::StoreShard::gains`]. Unlike
-    /// [`gains_for`](Self::gains_for) there is no per-id indirection: the
-    /// walk reads `descs[span]` (and therefore the element arena)
-    /// strictly sequentially, which is what lets one worker own one
-    /// arena region without striding past its neighbours'.
+    /// [`crate::shard::StoreShard::gains`]. The walk reads `descs[span]`
+    /// (and therefore the element arena) strictly sequentially, which is
+    /// what lets one worker own one arena region without striding past its
+    /// neighbours'.
     ///
     /// # Panics
     /// Panics if the residual's capacity differs from the store's universe
@@ -999,62 +955,47 @@ impl BatchedSweep {
         span: std::ops::Range<usize>,
         residual: &BitSet,
     ) -> &[usize] {
-        assert_eq!(
-            residual.capacity(),
-            store.universe,
-            "residual universe mismatch: {} vs {}",
-            residual.capacity(),
-            store.universe
-        );
-        assert!(span.end <= store.len(), "span {span:?} out of store");
-        let words = residual.words();
-        let tier = self.tier();
-        let kernel = sparse_sweep_kernel_for(tier);
-        self.gains.clear();
-        self.gains.reserve(span.len());
-        for d in &store.descs[span] {
-            self.gains.push(sweep_one(store, d, words, kernel));
-        }
-        &self.gains
+        self.sweep_words(store, span, residual.words(), residual.capacity())
     }
 
-    /// Gains of all stored sets against a residual given as a [`SetRef`] of
-    /// either representation. Dense views take the columnar fast path;
-    /// sparse views dispatch to the pairwise kernels (SSE2 block merge for
-    /// sparse×sparse).
+    /// Gains of all stored sets against a residual given as a [`SetRef`] in
+    /// any layout. A dense view is swept in place; any other layout is
+    /// materialized once with [`SetRef::to_bitset`] and swept as a bitmap.
+    ///
+    /// # Panics
+    /// Panics if the residual's universe differs from the store's.
     pub fn gains_vs_ref(&mut self, store: &SetStore, residual: SetRef<'_>) -> &[usize] {
         match residual {
             SetRef::Dense {
                 words, universe, ..
-            } => {
-                assert_eq!(
-                    universe, store.universe,
-                    "residual universe mismatch: {universe} vs {}",
-                    store.universe
-                );
-                let tier = self.tier();
-                let kernel = sparse_sweep_kernel_for(tier);
-                self.gains.clear();
-                self.gains.reserve(store.len());
-                for d in &store.descs {
-                    self.gains.push(sweep_one(store, d, words, kernel));
-                }
-                &self.gains
-            }
-            // Sparse and compressed residual views dispatch to the pairwise
-            // kernels per stored set (sparse×sparse keeps the SSE2 block
-            // merge; chunked/EF pairs use their container/decode kernels).
-            _ => {
-                let tier = self.tier();
-                self.gains.clear();
-                self.gains.reserve(store.len());
-                for i in 0..store.len() {
-                    self.gains
-                        .push(store.get(i).intersection_len_tier(residual, tier));
-                }
-                &self.gains
-            }
+            } => self.sweep_words(store, 0..store.len(), words, universe),
+            _ => self.gains(store, &residual.to_bitset()),
         }
+    }
+
+    /// The one columnar loop: each descriptor of `span` runs its layout's
+    /// bitmap kernel against `words`.
+    fn sweep_words(
+        &mut self,
+        store: &SetStore,
+        span: std::ops::Range<usize>,
+        words: &[u64],
+        universe: usize,
+    ) -> &[usize] {
+        assert_eq!(
+            universe, store.universe,
+            "residual universe mismatch: {universe} vs {}",
+            store.universe
+        );
+        assert!(span.end <= store.len(), "span {span:?} out of store");
+        let kernel = sparse_sweep_kernel_for(self.tier());
+        self.gains.clear();
+        self.gains.extend(
+            store.descs[span]
+                .iter()
+                .map(|&d| store.view(d).intersection_len_words(words, kernel)),
+        );
+        &self.gains
     }
 
     /// The last computed gains (empty before the first sweep).
@@ -1185,30 +1126,6 @@ fn dense_and_popcount(a: &[u64], b: &[u64]) -> usize {
         .zip(b)
         .map(|(x, y)| (x & y).count_ones() as usize)
         .sum()
-}
-
-/// Gain of one descriptor against a residual word slab (callers have
-/// asserted the slab spans the store's universe). Chunked descriptors walk
-/// their containers columnar-style — each container dispatches to the
-/// dense word-AND popcount (bitmap), the tier's sparse probe over decoded
-/// 256-element blocks (array), or masked range popcounts (runs); Elias–Fano
-/// descriptors decode in 256-element blocks through the tier's sparse
-/// probe.
-#[inline(always)]
-fn sweep_one(
-    store: &SetStore,
-    d: &SetDesc,
-    words: &[u64],
-    sparse_kernel: fn(&[u32], &[u64]) -> usize,
-) -> usize {
-    match d.repr {
-        SetRepr::Sparse => sparse_kernel(&store.sparse[d.off..d.off + d.card], words),
-        SetRepr::Dense => {
-            dense_and_popcount(&store.dense[d.off..d.off + store.words_per_set], words)
-        }
-        SetRepr::Chunked => chunked_vs_words(store.chunk_view(*d), words, sparse_kernel),
-        SetRepr::EliasFano => ef_vs_words(store.ef_view(*d), words, sparse_kernel),
-    }
 }
 
 /// AVX2 columnar probe: 8 elements per iteration — two 4-lane `u64`
@@ -1632,153 +1549,6 @@ fn container_vs_words(
     }
 }
 
-/// `|A ∩ B|` of two chunked views: containers merge by key; aligned pairs
-/// dispatch per payload combination (bitmap×bitmap runs the dense
-/// popcount, array/run × bitmap reuse [`container_vs_words`], the word-free
-/// pairs merge in chunk-local coordinates).
-fn chunked_vs_chunked(
-    a: ChunkView<'_>,
-    b: ChunkView<'_>,
-    sparse_kernel: fn(&[u32], &[u64]) -> usize,
-) -> usize {
-    let (mut i, mut j, mut gain) = (0, 0, 0);
-    while i < a.ncontainers() && j < b.ncontainers() {
-        let (ka, kb) = (a.key(i), b.key(j));
-        if ka < kb {
-            i += 1;
-        } else if kb < ka {
-            j += 1;
-        } else {
-            gain += container_pair_gain(a.container(i), b.container(j), sparse_kernel);
-            i += 1;
-            j += 1;
-        }
-    }
-    gain
-}
-
-/// `|X ∩ Y|` of two key-aligned containers.
-fn container_pair_gain(
-    x: Container<'_>,
-    y: Container<'_>,
-    sparse_kernel: fn(&[u32], &[u64]) -> usize,
-) -> usize {
-    match (x.tag, y.tag) {
-        (TAG_BITMAP, TAG_BITMAP) => dense_and_popcount(x.words, y.words),
-        (TAG_BITMAP, _) => container_vs_words(y, x.words, sparse_kernel),
-        (_, TAG_BITMAP) => container_vs_words(x, y.words, sparse_kernel),
-        (TAG_ARRAY, TAG_ARRAY) => {
-            let (mut p, mut q, mut c) = (0, 0, 0);
-            while p < x.card && q < y.card {
-                let (u, v) = (x.local(p), y.local(q));
-                c += usize::from(u == v);
-                p += usize::from(u <= v);
-                q += usize::from(v <= u);
-            }
-            c
-        }
-        (TAG_ARRAY, TAG_RUNS) => array_vs_runs(x, y),
-        (TAG_RUNS, TAG_ARRAY) => array_vs_runs(y, x),
-        _ => {
-            // runs × runs: interval-overlap walk over disjoint sorted runs.
-            let (mut p, mut q, mut c) = (0, 0, 0);
-            while p < x.nruns && q < y.nruns {
-                let (sa, la) = x.run(p);
-                let (sb, lb) = y.run(q);
-                let lo = sa.max(sb);
-                let hi = (sa + la).min(sb + lb);
-                if hi > lo {
-                    c += (hi - lo) as usize;
-                }
-                if sa + la <= sb + lb {
-                    p += 1;
-                } else {
-                    q += 1;
-                }
-            }
-            c
-        }
-    }
-}
-
-/// `|array ∩ runs|` of two key-aligned containers, chunk-local coordinates.
-fn array_vs_runs(arr: Container<'_>, runs: Container<'_>) -> usize {
-    let (mut p, mut c) = (0, 0);
-    for r in 0..runs.nruns {
-        let (s, len) = runs.run(r);
-        while p < arr.card && arr.local(p) < s {
-            p += 1;
-        }
-        while p < arr.card && arr.local(p) < s + len {
-            c += 1;
-            p += 1;
-        }
-    }
-    c
-}
-
-/// `|chunked ∩ sorted list|`: the list is cursored chunk group by chunk
-/// group (a `partition_point` per container), each group intersecting its
-/// key-aligned container in chunk-local coordinates.
-fn chunked_vs_sorted(v: ChunkView<'_>, elems: &[u32]) -> usize {
-    let (mut ci, mut p, mut gain) = (0, 0, 0);
-    while ci < v.ncontainers() && p < elems.len() {
-        let key = v.key(ci);
-        let ekey = elems[p] >> CHUNK_BITS;
-        if ekey < key {
-            p += elems[p..].partition_point(|&e| e >> CHUNK_BITS < key);
-            continue;
-        }
-        if ekey > key {
-            ci += 1;
-            continue;
-        }
-        let q = p + elems[p..].partition_point(|&e| e >> CHUNK_BITS == ekey);
-        gain += container_vs_group(v.container(ci), &elems[p..q]);
-        p = q;
-        ci += 1;
-    }
-    gain
-}
-
-/// `|container ∩ group|` where `group` is the (absolute) slice of a sorted
-/// list falling inside the container's chunk.
-fn container_vs_group(c: Container<'_>, group: &[u32]) -> usize {
-    match c.tag {
-        TAG_BITMAP => group
-            .iter()
-            .filter(|&&e| {
-                let local = e as usize & CHUNK_MASK;
-                c.words[local / 64] >> (local % 64) & 1 == 1
-            })
-            .count(),
-        TAG_RUNS => {
-            let (mut p, mut gain) = (0, 0);
-            for r in 0..c.nruns {
-                let (s, len) = c.run(r);
-                while p < group.len() && (group[p] as usize & CHUNK_MASK) < s as usize {
-                    p += 1;
-                }
-                while p < group.len() && (group[p] as usize & CHUNK_MASK) < (s + len) as usize {
-                    gain += 1;
-                    p += 1;
-                }
-            }
-            gain
-        }
-        _ => {
-            let (mut p, mut q, mut gain) = (0, 0, 0);
-            while p < c.card && q < group.len() {
-                let (u, v) = (c.local(p), group[q] as usize as u32 & CHUNK_MASK as u32);
-                gain += usize::from(u == v);
-                p += usize::from(u <= v);
-                q += usize::from(v <= u);
-            }
-            gain
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Elias–Fano encoding.
 //
@@ -1924,50 +1694,14 @@ fn ef_vs_words(v: EfView<'_>, words: &[u64], sparse_kernel: fn(&[u32], &[u64]) -
     gain
 }
 
-/// `|EF ∩ sorted list|`: sequential decode galloping a cursor through the
-/// list with a `partition_point` per decoded element.
-fn ef_vs_sorted(v: EfView<'_>, elems: &[u32]) -> usize {
-    let (mut p, mut gain) = (0, 0);
-    for e in v.iter() {
-        p += elems[p..].partition_point(|&x| (x as usize) < e);
-        if p == elems.len() {
-            break;
-        }
-        if elems[p] as usize == e {
-            gain += 1;
-            p += 1;
-        }
-    }
-    gain
-}
-
-/// `|A ∩ B|` of two Elias–Fano views: a sequential merge of the two
-/// decoders.
-fn ef_vs_ef(a: EfView<'_>, b: EfView<'_>) -> usize {
-    let (mut ia, mut ib) = (a.iter(), b.iter());
-    let (mut x, mut y) = (ia.next(), ib.next());
-    let mut gain = 0;
-    while let (Some(u), Some(v)) = (x, y) {
-        match u.cmp(&v) {
-            std::cmp::Ordering::Less => x = ia.next(),
-            std::cmp::Ordering::Greater => y = ib.next(),
-            std::cmp::Ordering::Equal => {
-                gain += 1;
-                x = ia.next();
-                y = ib.next();
-            }
-        }
-    }
-    gain
-}
-
 /// A borrowed, `Copy` view of one stored set — any backend.
 ///
-/// Binary operations dispatch to representation-specialized kernels:
-/// merge-walk for sparse×sparse, word ops for dense×dense, probing for the
-/// mixed pairs. Counting ops (`union_len`, `difference_len`,
-/// `hamming_distance`) derive from one intersection kernel via
-/// inclusion–exclusion.
+/// Binary operations run one intersection kernel: a pair with a `Dense`
+/// side runs the other layout's bitmap kernel in place; every other pair
+/// decodes its compressed side(s) to a sorted list (allocating) and merges.
+/// Counting and predicate ops (`union_len`, `difference_len`,
+/// `hamming_distance`, `is_disjoint`, `is_subset_of`) derive from that
+/// kernel.
 #[derive(Clone, Copy)]
 pub enum SetRef<'a> {
     /// Sorted element list.
@@ -2215,9 +1949,11 @@ impl<'a> SetRef<'a> {
         }
     }
 
-    /// `|self ∩ other|` — the coverage kernel. Specialized per
-    /// representation pair; never allocates. Dispatches at
-    /// [`KernelTier::effective`]; see
+    /// `|self ∩ other|` — the coverage kernel. A pair with a `Dense` side
+    /// runs the other side's bitmap kernel against those words (the
+    /// allocation-free hot pairs); every other pair decodes its compressed
+    /// side(s) to a sorted `u32` list (sparse lists are borrowed) and
+    /// merges. Dispatches at [`KernelTier::effective`]; see
     /// [`intersection_len_tier`](Self::intersection_len_tier) to force a
     /// tier.
     pub fn intersection_len(self, other: SetRef<'_>) -> usize {
@@ -2230,63 +1966,50 @@ impl<'a> SetRef<'a> {
     pub fn intersection_len_tier(self, other: SetRef<'_>, tier: KernelTier) -> usize {
         self.assert_compat(other);
         match (self, other) {
-            (SetRef::Sparse { elems: a, .. }, SetRef::Sparse { elems: b, .. }) => {
-                merge_intersection_len_tier(a, b, tier)
+            (x, SetRef::Dense { words, .. }) | (SetRef::Dense { words, .. }, x) => {
+                if let SetRef::Sparse { elems, .. } = x {
+                    // The probe reads `words[e / 64]` unchecked — guard the
+                    // (sorted) maximum element against the slab.
+                    assert!(
+                        elems
+                            .last()
+                            .is_none_or(|&e| (e as usize) < words.len() * 64),
+                        "sparse element out of the dense universe"
+                    );
+                }
+                x.intersection_len_words(words, sparse_sweep_kernel_for(tier))
             }
-            (SetRef::Dense { words: a, .. }, SetRef::Dense { words: b, .. }) => {
-                dense_and_popcount(a, b)
-            }
-            (SetRef::Sparse { elems, .. }, SetRef::Dense { words, .. })
-            | (SetRef::Dense { words, .. }, SetRef::Sparse { elems, .. }) => {
-                // Mixed pair: the same columnar probe the batched sweep
-                // runs, so it shares the gather kernels. The probe reads
-                // `words[e / 64]` unchecked — guard the (sorted) maximum
-                // element against the slab, as the old checked loop did.
-                assert!(
-                    elems
-                        .last()
-                        .is_none_or(|&e| (e as usize) < words.len() * 64),
-                    "sparse element out of the dense universe"
-                );
-                sparse_sweep_kernel_for(tier)(elems, words)
-            }
-            // Compressed hot pairs stay decode-free: containers dispatch
-            // against word sub-slabs / sorted groups, EF decodes are
-            // sequential merges. The tier's sparse probe and the dense
-            // popcount do the inner counting, so the AVX2 gather still
-            // applies.
-            (c @ SetRef::Chunked { .. }, d @ SetRef::Chunked { .. }) => chunked_vs_chunked(
-                c.chunk_pieces(),
-                d.chunk_pieces(),
-                sparse_sweep_kernel_for(tier),
-            ),
-            (c @ SetRef::Chunked { .. }, SetRef::Dense { words, .. })
-            | (SetRef::Dense { words, .. }, c @ SetRef::Chunked { .. }) => {
-                chunked_vs_words(c.chunk_pieces(), words, sparse_sweep_kernel_for(tier))
-            }
-            (c @ SetRef::Chunked { .. }, SetRef::Sparse { elems, .. })
-            | (SetRef::Sparse { elems, .. }, c @ SetRef::Chunked { .. }) => {
-                chunked_vs_sorted(c.chunk_pieces(), elems)
-            }
-            (a @ SetRef::EliasFano { .. }, b @ SetRef::EliasFano { .. }) => {
-                ef_vs_ef(a.ef_pieces(), b.ef_pieces())
-            }
-            (e @ SetRef::EliasFano { .. }, SetRef::Dense { words, .. })
-            | (SetRef::Dense { words, .. }, e @ SetRef::EliasFano { .. }) => {
-                ef_vs_words(e.ef_pieces(), words, sparse_sweep_kernel_for(tier))
-            }
-            (e @ SetRef::EliasFano { .. }, SetRef::Sparse { elems, .. })
-            | (SetRef::Sparse { elems, .. }, e @ SetRef::EliasFano { .. }) => {
-                ef_vs_sorted(e.ef_pieces(), elems)
-            }
-            // The long-tail pair: decode the EF side to scratch once, then
-            // run the chunked×sorted path (documented decode-to-scratch
-            // fallback).
-            (c @ SetRef::Chunked { .. }, e @ SetRef::EliasFano { .. })
-            | (e @ SetRef::EliasFano { .. }, c @ SetRef::Chunked { .. }) => {
-                let scratch: Vec<u32> = e.ef_pieces().iter().map(|x| x as u32).collect();
-                chunked_vs_sorted(c.chunk_pieces(), &scratch)
-            }
+            (a, b) => merge_intersection_len_tier(&a.sorted_elems(), &b.sorted_elems(), tier),
+        }
+    }
+
+    /// `|self ∩ W|` against a word slab spanning the universe — the one
+    /// bitmap kernel per layout, shared by
+    /// [`intersection_len`](Self::intersection_len) and [`BatchedSweep`]:
+    /// the tier's columnar probe for sparse lists, the word-AND popcount
+    /// for bitmaps, per-container kernels on the chunk's word sub-slab for
+    /// chunked sets, and the probe over 256-element decoded blocks for
+    /// Elias–Fano.
+    #[inline(always)]
+    fn intersection_len_words(
+        self,
+        words: &[u64],
+        sparse_kernel: fn(&[u32], &[u64]) -> usize,
+    ) -> usize {
+        match self {
+            SetRef::Sparse { elems, .. } => sparse_kernel(elems, words),
+            SetRef::Dense { words: a, .. } => dense_and_popcount(a, words),
+            SetRef::Chunked { .. } => chunked_vs_words(self.chunk_pieces(), words, sparse_kernel),
+            SetRef::EliasFano { .. } => ef_vs_words(self.ef_pieces(), words, sparse_kernel),
+        }
+    }
+
+    /// The elements as a sorted `u32` list: borrowed for a sparse view,
+    /// decoded into a scratch list for every other layout.
+    fn sorted_elems(self) -> Cow<'a, [u32]> {
+        match self {
+            SetRef::Sparse { elems, .. } => Cow::Borrowed(elems),
+            _ => Cow::Owned(self.iter().map(|e| e as u32).collect()),
         }
     }
 
@@ -2305,38 +2028,15 @@ impl<'a> SetRef<'a> {
         self.len() + other.len() - 2 * self.intersection_len(other)
     }
 
-    /// Whether `self ∩ other = ∅`, with early exit.
+    /// Whether `self ∩ other = ∅` (through the intersection kernel, so no
+    /// early exit).
     pub fn is_disjoint(self, other: SetRef<'_>) -> bool {
-        self.assert_compat(other);
-        match (self, other) {
-            (SetRef::Sparse { elems: a, .. }, SetRef::Sparse { elems: b, .. }) => {
-                merge_is_disjoint(a, b)
-            }
-            (SetRef::Dense { words: a, .. }, SetRef::Dense { words: b, .. }) => {
-                a.iter().zip(b).all(|(x, y)| x & y == 0)
-            }
-            (SetRef::Sparse { elems, .. }, SetRef::Dense { words, .. })
-            | (SetRef::Dense { words, .. }, SetRef::Sparse { elems, .. }) => elems
-                .iter()
-                .all(|&e| words[e as usize / 64] >> (e % 64) & 1 == 0),
-            // Compressed pairs: the counting kernels already early-exit per
-            // container / per merge step internally at worst linearly; an
-            // exact-zero check through them is correct if not maximally
-            // lazy.
-            _ => self.intersection_len(other) == 0,
-        }
+        self.intersection_len(other) == 0
     }
 
-    /// Whether `self ⊆ other`.
+    /// Whether `self ⊆ other` (through the intersection kernel).
     pub fn is_subset_of(self, other: SetRef<'_>) -> bool {
-        self.assert_compat(other);
-        match (self, other) {
-            (SetRef::Dense { words: a, .. }, SetRef::Dense { words: b, .. }) => {
-                a.iter().zip(b).all(|(x, y)| x & !y == 0)
-            }
-            (SetRef::Sparse { elems, .. }, _) => elems.iter().all(|&e| other.contains(e as usize)),
-            _ => self.intersection_len(other) == self.len(),
-        }
+        self.intersection_len(other) == self.len()
     }
 
     /// `self ∪ other` as an owned [`BitSet`].
@@ -2533,19 +2233,6 @@ fn galloping_intersection_len(small: &[u32], large: &[u32]) -> usize {
         }
     }
     c
-}
-
-/// Early-exit merge-walk disjointness over sorted slices.
-fn merge_is_disjoint(a: &[u32], b: &[u32]) -> bool {
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => return false,
-        }
-    }
-    true
 }
 
 /// Iterator over a [`SetRef`]'s elements in increasing order.
@@ -3149,11 +2836,7 @@ mod tests {
                 .map(|i| st.get(i).intersection_len(residual.as_set_ref()))
                 .collect();
             assert_eq!(sweep.gains(&st, &residual), &expect[..], "{policy:?}");
-            // Subset sweeps agree on arbitrary id orders (with repeats).
-            let ids = [3usize, 0, 0, 2];
-            let expect_for: Vec<usize> = ids.iter().map(|&i| expect[i]).collect();
-            assert_eq!(sweep.gains_for(&st, &ids, &residual), &expect_for[..]);
-            // Sparse residual views go through the pairwise kernels.
+            // Sparse residual views are materialized as a bitmap once.
             let mut rstore = SetStore::with_policy(n, ReprPolicy::ForceSparse);
             rstore.push_elems(residual.iter());
             assert_eq!(sweep.gains_vs_ref(&st, rstore.get(0)), &expect[..]);

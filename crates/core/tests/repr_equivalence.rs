@@ -35,6 +35,39 @@ fn arb_instance() -> impl Strategy<Value = (usize, Vec<Vec<usize>>)> {
     })
 }
 
+/// Elements per chunk of the chunked layout (`2^16`).
+const CHUNK: usize = 1 << 16;
+
+/// Multi-chunk instances: three full chunks plus a ragged fourth, so every
+/// chunked operand spans several containers and the pair kernels must
+/// merge container keys. Each set mixes the three container kinds:
+/// runs placed up to 80 elements either side of a chunk boundary (run
+/// containers, crossing the boundary), scattered singletons (array
+/// containers) and, in about half the sets, a half-full stretch over the
+/// ragged last chunk (a bitmap container there, since `card > span/16`).
+fn arb_multi_chunk_instance() -> impl Strategy<Value = (usize, Vec<Vec<usize>>)> {
+    (64usize..2048, 2usize..5).prop_flat_map(|(ragged, m)| {
+        let n = 3 * CHUNK + ragged;
+        let set = (
+            proptest::collection::vec((0usize..4, 0usize..160, 1usize..200), 0..6),
+            proptest::collection::vec(0usize..n, 0..40),
+            (0usize..2, 0usize..ragged),
+        )
+            .prop_map(move |(runs, singles, (bitmap, from))| {
+                let mut v = singles;
+                for (k, off, len) in runs {
+                    let start = (k * CHUNK + off).saturating_sub(80);
+                    v.extend((start..start + len).filter(|&e| e < n));
+                }
+                if bitmap == 1 {
+                    v.extend((3 * CHUNK + from / 2..n).step_by(2));
+                }
+                v
+            });
+        (Just(n), proptest::collection::vec(set, m))
+    })
+}
+
 fn build(n: usize, lists: &[Vec<usize>], policy: ReprPolicy) -> SetSystem {
     let mut sys = SetSystem::with_policy(n, policy);
     for l in lists {
@@ -282,6 +315,26 @@ proptest! {
 
     #[test]
     fn counting_kernels_agree_across_forced_tiers(case in arb_instance()) {
+        let (n, lists) = case;
+        check_tiered_kernels(n, lists)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn pairwise_algebra_agrees_across_backends_on_multi_chunk_sets(
+        case in arb_multi_chunk_instance(),
+    ) {
+        let (n, lists) = case;
+        check_pairwise_algebra(n, lists)?;
+    }
+
+    #[test]
+    fn counting_kernels_agree_across_forced_tiers_on_multi_chunk_sets(
+        case in arb_multi_chunk_instance(),
+    ) {
         let (n, lists) = case;
         check_tiered_kernels(n, lists)?;
     }
