@@ -13,7 +13,8 @@
 //! The format is deliberately minimal: fixed-width little-endian integers,
 //! length-prefixed arrays, no varints, no padding. [`decode_frame`] is the
 //! single entry point and validates magic, version, kind, and every
-//! declared length against the buffer before slicing.
+//! declared length against the buffer before slicing; a set body must also
+//! hold exactly the layout its encoder writes ([`SetRef::validate`]).
 
 use streamcover_core::store::CARD_UNKNOWN;
 use streamcover_core::{BitSet, SetRef, SetStore};
@@ -482,26 +483,18 @@ pub fn decode_set_payload(bytes: &[u8]) -> Result<OwnedSet, WireError> {
     Ok(set)
 }
 
-/// Decodes one set body. Sparse and dense bodies are validated against
-/// the arena invariants the unchecked kernels rely on (sorted in-universe
-/// elements; no bits past the universe and a consistent card); chunked and
-/// Elias–Fano bodies are checked for framing only.
+/// Decodes one set body and validates it against the arena invariants the
+/// unchecked kernels rely on ([`SetRef::validate`]), so a crafted body of
+/// any layout is a [`WireError::BadPayload`], never an out-of-bounds probe.
 fn decode_set_body(r: &mut Reader<'_>) -> Result<OwnedSet, WireError> {
     let universe = r.u64()? as usize;
     let tag = r.u8()?;
     let repr = match tag {
         TAG_SPARSE => {
             let card = r.u32()? as usize;
-            let elems = r.u32s(card)?;
-            // The arena kernels probe sparse elements unchecked: they must
-            // be strictly increasing and inside the universe.
-            if elems.windows(2).any(|w| w[0] >= w[1]) {
-                return Err(WireError::BadPayload("sparse elements not increasing"));
+            OwnedRepr::Sparse {
+                elems: r.u32s(card)?,
             }
-            if elems.last().is_some_and(|&e| e as usize >= universe) {
-                return Err(WireError::BadPayload("sparse element outside the universe"));
-            }
-            OwnedRepr::Sparse { elems }
         }
         TAG_DENSE => {
             let wire_card = r.u64()?;
@@ -511,29 +504,16 @@ fn decode_set_body(r: &mut Reader<'_>) -> Result<OwnedSet, WireError> {
                 usize::try_from(wire_card).map_err(|_| WireError::BadPayload("dense card"))?
             };
             let nwords = r.u32()? as usize;
-            if nwords != universe.div_ceil(64) {
-                return Err(WireError::BadPayload("dense word count"));
+            OwnedRepr::Dense {
+                words: r.u64s(nwords)?,
+                card,
             }
-            let words = r.u64s(nwords)?;
-            let tail = universe % 64;
-            if tail != 0 && words.last().is_some_and(|&w| w >> tail != 0) {
-                return Err(WireError::BadPayload("dense bits outside the universe"));
-            }
-            if card != CARD_UNKNOWN
-                && card != words.iter().map(|w| w.count_ones() as usize).sum::<usize>()
-            {
-                return Err(WireError::BadPayload("dense card"));
-            }
-            OwnedRepr::Dense { words, card }
         }
         TAG_CHUNKED => {
             let card = r.u64()? as usize;
             let meta_len = r.u32()? as usize;
             let d32_len = r.u32()? as usize;
             let d64_len = r.u32()? as usize;
-            if !meta_len.is_multiple_of(4) {
-                return Err(WireError::BadPayload("chunked meta stride"));
-            }
             OwnedRepr::Chunked {
                 meta: r.u32s(meta_len)?,
                 data32: r.u32s(d32_len)?,
@@ -544,9 +524,6 @@ fn decode_set_body(r: &mut Reader<'_>) -> Result<OwnedSet, WireError> {
         TAG_ELIAS_FANO => {
             let card = r.u64()? as usize;
             let low_bits = r.u32()?;
-            if low_bits > 64 {
-                return Err(WireError::BadPayload("elias-fano low bits"));
-            }
             let high_len = r.u32()? as usize;
             let low_len = r.u32()? as usize;
             OwnedRepr::EliasFano {
@@ -558,7 +535,9 @@ fn decode_set_body(r: &mut Reader<'_>) -> Result<OwnedSet, WireError> {
         }
         other => return Err(WireError::BadKind(other)),
     };
-    Ok(OwnedSet { universe, repr })
+    let set = OwnedSet { universe, repr };
+    set.as_set_ref().validate().map_err(WireError::BadPayload)?;
+    Ok(set)
 }
 
 // ---- frame encode/decode -------------------------------------------------
@@ -713,7 +692,7 @@ pub fn bitset_from_words(universe: usize, words: &[u64]) -> BitSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use streamcover_core::ReprPolicy;
+    use streamcover_core::{BatchedSweep, ReprPolicy, SetRepr};
 
     fn store_with(policy: ReprPolicy, universe: usize, elems: &[u32]) -> SetStore {
         let mut st = SetStore::with_policy(universe, policy);
@@ -950,6 +929,141 @@ mod tests {
         truncated_payload.truncate(truncated_payload.len() - 4);
         // Header still declares 3 elements → length mismatch.
         assert_eq!(decode_frame(&truncated_payload), Err(WireError::Truncated));
+    }
+
+    #[test]
+    fn chunked_body_with_a_local_past_the_universe_is_rejected() {
+        // One array container holding local element 60000 over universe 64:
+        // stored verbatim, the sweep kernels would probe past the residual.
+        assert_bad_payload(&set_frame(SetRef::Chunked {
+            meta: &[0, 0, 1, 0],
+            data32: &[60_000],
+            data64: &[],
+            universe: 64,
+            card: 1,
+        }));
+    }
+
+    #[test]
+    fn elias_fano_body_past_the_universe_is_rejected() {
+        // One element whose unary bit sits at position 64: it decodes to
+        // element 64 of a 64-element universe.
+        assert_bad_payload(&set_frame(SetRef::EliasFano {
+            high: &[0, 1],
+            low: &[],
+            low_bits: 0,
+            universe: 64,
+            card: 1,
+        }));
+    }
+
+    /// A universe of three full chunks and a ragged 640-element fourth.
+    const FLIP_UNIVERSE: usize = 3 * (1 << 16) + 640;
+
+    /// Sets spanning several chunks: scattered arrays, long runs, and a
+    /// dense ragged last chunk (a bitmap container when chunked).
+    fn flip_sets() -> Vec<Vec<u32>> {
+        let top = 3 << 16;
+        let scattered = |step: u32, base: u32| (0..40).map(move |i| base + i * step);
+        vec![
+            scattered(1597, 0)
+                .chain((1 << 16) + 100..(1 << 16) + 400)
+                .chain((1 << 16) + 900..(1 << 16) + 1100)
+                .chain((top..top + 640).filter(|e| e % 5 < 2))
+                .collect(),
+            scattered(1021, 7).chain(scattered(997, 2 << 16)).collect(),
+            ((2 << 16) + 5..(2 << 16) + 700)
+                .chain((top..top + 640).filter(|e| e % 3 != 0))
+                .collect(),
+        ]
+    }
+
+    /// The residuals a decoded set is swept against: full, and two thirds.
+    fn flip_residuals(n: usize) -> [BitSet; 2] {
+        [
+            BitSet::full(n),
+            BitSet::from_iter(n, (0..n).filter(|e| e % 3 != 1)),
+        ]
+    }
+
+    /// Every single-bit flip of `body` either fails to decode or yields a
+    /// set that every kernel reads consistently with its own elements.
+    fn assert_flips_are_rejected_or_consistent(body: &[u8]) {
+        let residuals = flip_residuals(FLIP_UNIVERSE);
+        for bit in 0..body.len() * 8 {
+            let mut flipped = body.to_vec();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            let Ok(owned) = decode_set_payload(&flipped) else {
+                continue;
+            };
+            let set = owned.as_set_ref();
+            let n = owned.universe();
+            let elems: Vec<usize> = set.iter().collect();
+            assert!(
+                elems.windows(2).all(|w| w[0] < w[1]) && elems.last().is_none_or(|&e| e < n),
+                "bit {bit}: decoded elements out of order or range"
+            );
+            assert_eq!(set.len(), elems.len(), "bit {bit}: card");
+            if n > 1 << 22 {
+                // A flipped high universe bit: too large for bitmaps here.
+                continue;
+            }
+            let reference = BitSet::from_iter(n, elems.iter().copied());
+            let mut store = SetStore::new(n);
+            owned.push_into(&mut store);
+            let flipped_universe;
+            let residuals = if n == FLIP_UNIVERSE {
+                &residuals
+            } else {
+                flipped_universe = flip_residuals(n);
+                &flipped_universe
+            };
+            for residual in residuals {
+                let expect = reference.intersection_len(residual);
+                assert_eq!(
+                    set.intersection_len(residual.as_set_ref()),
+                    expect,
+                    "bit {bit}: intersection_len"
+                );
+                assert_eq!(
+                    BatchedSweep::new().gains(&store, residual),
+                    &[expect],
+                    "bit {bit}: sweep gain"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn chunked_body_bit_flips_are_rejected_or_consistent() {
+        let mut tags = [false; 3];
+        for elems in flip_sets() {
+            let st = store_with(ReprPolicy::ForceChunked, FLIP_UNIVERSE, &elems);
+            if let SetRef::Chunked { meta, .. } = st.get(0) {
+                assert!(meta.len() >= 8, "multi-container set");
+                for m in meta.chunks(4) {
+                    tags[(m[1] & 0xff) as usize] = true;
+                }
+            }
+            let mut body = Vec::new();
+            encode_set_body(st.get(0), &mut body);
+            assert_flips_are_rejected_or_consistent(&body);
+        }
+        assert_eq!(
+            tags, [true; 3],
+            "array, bitmap and run containers all flipped"
+        );
+    }
+
+    #[test]
+    fn elias_fano_body_bit_flips_are_rejected_or_consistent() {
+        for elems in flip_sets() {
+            let st = store_with(ReprPolicy::ForceEliasFano, FLIP_UNIVERSE, &elems);
+            assert_eq!(st.get(0).repr(), SetRepr::EliasFano);
+            let mut body = Vec::new();
+            encode_set_body(st.get(0), &mut body);
+            assert_flips_are_rejected_or_consistent(&body);
+        }
     }
 
     #[test]

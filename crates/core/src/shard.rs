@@ -13,8 +13,8 @@
 //!
 //! The one seam in the other direction is
 //! [`crate::SetSystem::from_shard_stores`]: arenas built by parallel
-//! workers (a storing pass's chunks, a windowed stream's buckets) are
-//! concatenated into one flat system, representations verbatim.
+//! workers (a storing pass's chunks) are concatenated into one flat system,
+//! representations verbatim.
 
 use crate::bitset::BitSet;
 use crate::store::{BatchedSweep, SetRef, SetStore};

@@ -1321,6 +1321,76 @@ impl Container<'_> {
     }
 }
 
+/// Checks a chunked set's pieces against the layout every chunked kernel
+/// trusts: container keys strictly increase below `⌈n/2^16⌉`, each tag is
+/// array, bitmap or runs with its payload inside its arena, array locals
+/// strictly increase inside the chunk, runs are sorted, disjoint and inside
+/// the chunk, no bitmap bit lies past the chunk, and each container's card
+/// matches its payload, the cards summing to `card`.
+fn check_chunked(v: ChunkView<'_>, card: usize) -> Result<(), &'static str> {
+    if !v.meta.len().is_multiple_of(CONTAINER_META) {
+        return Err("chunked meta stride");
+    }
+    let mut total = 0usize;
+    for c in 0..v.ncontainers() {
+        let m = &v.meta[CONTAINER_META * c..CONTAINER_META * (c + 1)];
+        let (key, tag, ccard, off) = (m[0], m[1] & 0xff, m[2] as usize, m[3] as usize);
+        if key as usize >= v.universe.div_ceil(CHUNK) || (c > 0 && key <= v.key(c - 1)) {
+            return Err("chunked container keys");
+        }
+        let (len, arena) = match tag {
+            TAG_ARRAY => (ccard.div_ceil(2), v.data32.len()),
+            TAG_RUNS => ((m[1] >> 8) as usize, v.data32.len()),
+            TAG_BITMAP => (chunk_span_words(v.universe, key), v.data64.len()),
+            _ => return Err("chunked container tag"),
+        };
+        if off + len > arena {
+            return Err("chunked payload range");
+        }
+        let cont = v.container(c);
+        let span = chunk_span(v.universe, key);
+        let counted = match tag {
+            TAG_ARRAY => {
+                let mut next = 0;
+                for i in 0..ccard {
+                    let local = cont.local(i) as usize;
+                    if local < next || local >= span {
+                        return Err("chunked array locals");
+                    }
+                    next = local + 1;
+                }
+                ccard
+            }
+            TAG_RUNS => {
+                let (mut next, mut sum) = (0, 0);
+                for r in 0..cont.nruns {
+                    let (start, len) = cont.run(r);
+                    let (start, end) = (start as usize, (start + len) as usize);
+                    if start < next || end > span {
+                        return Err("chunked runs");
+                    }
+                    (next, sum) = (end, sum + len as usize);
+                }
+                sum
+            }
+            _ => {
+                if !span.is_multiple_of(64) && cont.words[span / 64] >> (span % 64) != 0 {
+                    return Err("chunked bitmap bits past the chunk");
+                }
+                cont.words.iter().map(|w| w.count_ones() as usize).sum()
+            }
+        };
+        if counted != ccard {
+            return Err("chunked container card");
+        }
+        total += ccard;
+    }
+    if total != card {
+        return Err("chunked card");
+    }
+    Ok(())
+}
+
 /// Maximal consecutive runs of a strictly sorted element list, split at
 /// chunk boundaries (the canonical clipped-run form every chunked encode
 /// path consumes).
@@ -1666,6 +1736,34 @@ impl Iterator for EfIter<'_> {
     }
 }
 
+/// Checks an Elias–Fano set's pieces against the layout its decoder
+/// trusts: `l` and both word counts are the ones `(universe, card)` fix,
+/// the high bitmap holds exactly `card` ones, and the decoded elements
+/// strictly increase below the universe.
+fn check_ef(v: EfView<'_>, universe: usize) -> Result<(), &'static str> {
+    // The popcount bounds `card` by the received words, so the size
+    // formulas below cannot overflow.
+    let ones: usize = v.high.iter().map(|w| w.count_ones() as usize).sum();
+    if ones != v.card || v.card > universe {
+        return Err("elias-fano card");
+    }
+    let l = ef_low_bits(universe, v.card);
+    if v.l != l
+        || v.high.len() != ef_high_words(universe, v.card, l)
+        || v.low.len() != ef_low_words(v.card, l)
+    {
+        return Err("elias-fano sizes");
+    }
+    let mut next = 0;
+    for e in v.iter() {
+        if e < next || e >= universe {
+            return Err("elias-fano elements");
+        }
+        next = e + 1;
+    }
+    Ok(())
+}
+
 /// Gain of an Elias–Fano view against a residual word slab: decode in
 /// 256-element blocks and reuse the tier's columnar probe.
 fn ef_vs_words(v: EfView<'_>, words: &[u64], sparse_kernel: fn(&[u32], &[u64]) -> usize) -> usize {
@@ -1806,6 +1904,47 @@ impl<'a> SetRef<'a> {
                 }
             }
             SetRef::Chunked { card, .. } | SetRef::EliasFano { card, .. } => card == 0,
+        }
+    }
+
+    /// Checks the view against the invariants the unchecked kernels rely
+    /// on, for a view whose pieces come from outside any arena (a decoded
+    /// wire body): sparse elements strictly increase below the universe; a
+    /// dense view has `⌈n/64⌉` words, no bit past the universe and a card
+    /// that is [`CARD_UNKNOWN`] or its popcount; chunked and Elias–Fano
+    /// views hold exactly the layout their encoders write.
+    pub fn validate(self) -> Result<(), &'static str> {
+        match self {
+            SetRef::Sparse { elems, universe } => {
+                if elems.windows(2).any(|w| w[0] >= w[1]) {
+                    return Err("sparse elements not increasing");
+                }
+                if elems.last().is_some_and(|&e| e as usize >= universe) {
+                    return Err("sparse element outside the universe");
+                }
+                Ok(())
+            }
+            SetRef::Dense {
+                words,
+                universe,
+                card,
+            } => {
+                if words.len() != universe.div_ceil(64) {
+                    return Err("dense word count");
+                }
+                let tail = universe % 64;
+                if tail != 0 && words.last().is_some_and(|&w| w >> tail != 0) {
+                    return Err("dense bits outside the universe");
+                }
+                if card != CARD_UNKNOWN
+                    && card != words.iter().map(|w| w.count_ones() as usize).sum::<usize>()
+                {
+                    return Err("dense card");
+                }
+                Ok(())
+            }
+            SetRef::Chunked { card, .. } => check_chunked(self.chunk_pieces(), card),
+            SetRef::EliasFano { universe, .. } => check_ef(self.ef_pieces(), universe),
         }
     }
 

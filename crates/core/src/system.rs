@@ -126,8 +126,8 @@ impl SetSystem {
     }
 
     /// Appends a set given as a strictly increasing element list — the
-    /// resident-system mutation seam the serving layer's `add_set` request
-    /// commits through. Identical to [`push_sorted`](Self::push_sorted)
+    /// resident-system mutation seam the serving layer's `add_set` commits
+    /// through. Identical to [`push_sorted`](Self::push_sorted)
     /// (including the epoch bump); the alias names the live-mutation
     /// intent.
     ///
@@ -307,7 +307,7 @@ impl SetSystem {
     /// under `policy`: the sets of `stores[0]` first, then `stores[1]`, and
     /// so on, each copied with its representation verbatim (a tombstoned
     /// slot arrives as the empty set it reads as). The merge seam of
-    /// `ParallelPass::store_pass` and the windowed turnstile snapshot.
+    /// `ParallelPass::store_pass`.
     ///
     /// # Panics
     /// Panics if any store's universe differs from `universe`.

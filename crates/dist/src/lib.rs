@@ -21,10 +21,6 @@
 //!   [`podcast_catalog`] — coverable planted workloads, Bernoulli systems,
 //!   and Zipf-flavoured blog/topic and podcast/episode catalogues for the
 //!   algorithmic experiments.
-//! * [`turnstile_catalog`] — scripted insert/delete mixes
-//!   ([`TurnstileCatalog`]): Zipf-sized sets with configurable delete
-//!   fraction and recency churn, the live-catalog workload behind the
-//!   deletion-aware stack.
 //! * [`check_cover_free`] — the `r`-cover-free diagnostic.
 //!
 //! ## Quickstart
@@ -64,6 +60,6 @@ pub use maxcover::{sample_dmc, sample_dmc_with_theta, DmcInstance, McParams};
 pub use partition::{random_partition, RandomPartition};
 pub use setcover::{sample_dsc, sample_dsc_with_theta, DscInstance, ScParams};
 pub use workloads::{
-    blog_watch, planted_cover, podcast_catalog, turnstile_catalog, uniform_random, zipf_query_mix,
-    CatalogOp, PlantedWorkload, TurnstileCatalog, ZipfQueryMix,
+    blog_watch, planted_cover, podcast_catalog, uniform_random, zipf_query_mix, PlantedWorkload,
+    ZipfQueryMix,
 };

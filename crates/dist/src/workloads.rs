@@ -246,157 +246,6 @@ pub fn zipf_query_mix<R: Rng + ?Sized>(
     }
 }
 
-/// One event of a turnstile catalogue script (see [`turnstile_catalog`]).
-/// The script is plain data — it can be replayed against a resident
-/// [`SetSystem`] ([`TurnstileCatalog::materialize`]), a
-/// `TurnstileStream`, or a `CoverService` without this crate knowing any
-/// of those types.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum CatalogOp {
-    /// A show is listed: a new set arrives (sorted element list). Its id
-    /// is its 0-based position among the inserts.
-    Insert {
-        /// The set's elements.
-        elems: Vec<u32>,
-    },
-    /// A previously listed show is delisted, named by its insert number.
-    /// Each insert is deleted at most once, always after it appeared.
-    Delete {
-        /// 0-based insert number of the retracted set.
-        insert: usize,
-    },
-}
-
-/// A scripted insert/delete workload over `[universe]` — the live-catalog
-/// shape of the Spotify-style serving workloads: Zipf-sized sets appear,
-/// some get delisted, and deletions skew toward recent arrivals when the
-/// churn knob is high.
-#[derive(Clone, Debug)]
-pub struct TurnstileCatalog {
-    universe: usize,
-    ops: Vec<CatalogOp>,
-    inserts: usize,
-    deletes: usize,
-}
-
-impl TurnstileCatalog {
-    /// Universe size `n`.
-    pub fn universe(&self) -> usize {
-        self.universe
-    }
-
-    /// The scripted events, in order.
-    pub fn ops(&self) -> &[CatalogOp] {
-        &self.ops
-    }
-
-    /// Number of inserts in the script.
-    pub fn num_inserts(&self) -> usize {
-        self.inserts
-    }
-
-    /// Number of deletes in the script.
-    pub fn num_deletes(&self) -> usize {
-        self.deletes
-    }
-
-    /// Replays the script against a fresh [`SetSystem`]: inserts append
-    /// (so set id = insert number), deletes tombstone. The result has
-    /// exactly [`num_inserts`](Self::num_inserts) slots, the deleted ones
-    /// reading as empty.
-    pub fn materialize(&self) -> SetSystem {
-        let mut sys = SetSystem::new(self.universe);
-        for op in &self.ops {
-            match op {
-                CatalogOp::Insert { elems } => {
-                    sys.add_set(elems);
-                }
-                CatalogOp::Delete { insert } => sys.remove_set(*insert),
-            }
-        }
-        sys
-    }
-}
-
-/// Generates a [`TurnstileCatalog`] of `ops` events over `[n]`:
-///
-/// * **Sizes are Zipf**: an insert's cardinality is drawn from
-///   `1..=max(2, n/8)` with weight `∝ 1/size^s` — exponent `s = 1.0` is
-///   the classic heavy tail (many tiny sets, few hubs), larger `s` skews
-///   smaller.
-/// * **`delete_frac`** of the events retract a still-live earlier insert
-///   (an event is an insert whenever nothing is live to delete, so the
-///   realized fraction tracks the knob from below).
-/// * **`churn`** is the probability a delete targets the *recent tenth*
-///   of the live inserts instead of a uniform victim — `1.0` is
-///   fast-fashion delisting, `0.0` ages the back catalogue uniformly.
-///
-/// No insert is deleted twice, and every delete names an insert that
-/// already happened — [`TurnstileCatalog::materialize`] replays cleanly.
-///
-/// # Panics
-/// Panics unless `n ≥ 2`, `ops ≥ 1`, `delete_frac ∈ [0, 1)`,
-/// `churn ∈ [0, 1]` and `s > 0`.
-pub fn turnstile_catalog<R: Rng + ?Sized>(
-    rng: &mut R,
-    n: usize,
-    ops: usize,
-    delete_frac: f64,
-    churn: f64,
-    s: f64,
-) -> TurnstileCatalog {
-    assert!(n >= 2, "need a universe of at least two elements");
-    assert!(ops >= 1, "need at least one event");
-    assert!(
-        (0.0..1.0).contains(&delete_frac),
-        "delete fraction out of range: {delete_frac}"
-    );
-    assert!((0.0..=1.0).contains(&churn), "churn out of range: {churn}");
-    assert!(s > 0.0, "Zipf exponent must be positive");
-
-    // Cumulative Zipf table over sizes 1..=max_size.
-    let max_size = (n / 8).max(2);
-    let mut cumulative = Vec::with_capacity(max_size);
-    let mut total = 0.0f64;
-    for size in 1..=max_size {
-        total += 1.0 / (size as f64).powf(s);
-        cumulative.push(total);
-    }
-
-    let mut script = Vec::with_capacity(ops);
-    let mut live: Vec<usize> = Vec::new(); // insert numbers still listed
-    let mut inserts = 0usize;
-    let mut deletes = 0usize;
-    for _ in 0..ops {
-        if !live.is_empty() && rng.gen::<f64>() < delete_frac {
-            // Victim: recent tenth with probability `churn`, else uniform.
-            let recent = (live.len() / 10).max(1);
-            let at = if rng.gen::<f64>() < churn {
-                live.len() - 1 - rng.gen_range(0..recent)
-            } else {
-                rng.gen_range(0..live.len())
-            };
-            let insert = live.remove(at);
-            script.push(CatalogOp::Delete { insert });
-            deletes += 1;
-        } else {
-            let x = rng.gen::<f64>() * total;
-            let size = cumulative.partition_point(|&c| c < x).min(max_size - 1) + 1;
-            script.push(CatalogOp::Insert {
-                elems: random_subset_elems(rng, n, size),
-            });
-            live.push(inserts);
-            inserts += 1;
-        }
-    }
-    TurnstileCatalog {
-        universe: n,
-        ops: script,
-        inserts,
-        deletes,
-    }
-}
-
 /// A podcast catalogue modeled on The Spotify Podcast Dataset's shape:
 /// `shows` shows over a universe of `topics` episode-topics, with **both**
 /// heavy tails the real catalogue exhibits —
@@ -639,120 +488,6 @@ mod tests {
             head2 > counts[0],
             "s=2 head share {head2} must beat s=1 share {}",
             counts[0]
-        );
-    }
-
-    #[test]
-    fn turnstile_catalog_is_well_formed_and_materializes() {
-        let mut rng = StdRng::seed_from_u64(10);
-        for (n, ops, frac) in [(64, 200, 0.3), (256, 500, 0.45), (16, 50, 0.0)] {
-            let cat = turnstile_catalog(&mut rng, n, ops, frac, 0.5, 1.0);
-            assert_eq!(cat.universe(), n);
-            assert_eq!(cat.ops().len(), ops);
-            assert_eq!(cat.num_inserts() + cat.num_deletes(), ops);
-            // Every delete names an earlier, still-live insert; no double
-            // deletes.
-            let mut seen_inserts = 0usize;
-            let mut deleted = std::collections::HashSet::new();
-            let mut insert_elems: Vec<Vec<u32>> = Vec::new();
-            for op in cat.ops() {
-                match op {
-                    CatalogOp::Insert { elems } => {
-                        assert!(!elems.is_empty());
-                        assert!(elems.windows(2).all(|w| w[0] < w[1]), "sorted");
-                        assert!(elems.iter().all(|&e| (e as usize) < n));
-                        insert_elems.push(elems.clone());
-                        seen_inserts += 1;
-                    }
-                    CatalogOp::Delete { insert } => {
-                        assert!(*insert < seen_inserts, "delete before insert");
-                        assert!(deleted.insert(*insert), "double delete");
-                    }
-                }
-            }
-            // Replay: ids are insert numbers, deleted slots read empty.
-            let sys = cat.materialize();
-            assert_eq!(sys.len(), cat.num_inserts());
-            for (i, elems) in insert_elems.iter().enumerate() {
-                if deleted.contains(&i) {
-                    assert!(sys.set(i).is_empty(), "insert {i} was delisted");
-                } else {
-                    let got: Vec<u32> = sys.set(i).iter().map(|e| e as u32).collect();
-                    assert_eq!(&got, elems, "insert {i} survives verbatim");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn turnstile_catalog_delete_mix_tracks_the_knob() {
-        let mut rng = StdRng::seed_from_u64(11);
-        let cat = turnstile_catalog(&mut rng, 128, 4000, 0.4, 0.0, 1.0);
-        let frac = cat.num_deletes() as f64 / 4000.0;
-        assert!(
-            (frac - 0.4).abs() < 0.05,
-            "realized delete fraction {frac} vs knob 0.4"
-        );
-        let none = turnstile_catalog(&mut rng, 128, 400, 0.0, 0.0, 1.0);
-        assert_eq!(none.num_deletes(), 0, "zero knob means insertion-only");
-        assert_eq!(none.num_inserts(), 400);
-    }
-
-    #[test]
-    fn turnstile_catalog_sizes_are_zipf_skewed() {
-        let mut rng = StdRng::seed_from_u64(12);
-        let mut sizes = |s: f64| -> Vec<usize> {
-            turnstile_catalog(&mut rng, 256, 3000, 0.0, 0.0, s)
-                .ops()
-                .iter()
-                .map(|op| match op {
-                    CatalogOp::Insert { elems } => elems.len(),
-                    CatalogOp::Delete { .. } => unreachable!("insertion-only"),
-                })
-                .collect()
-        };
-        let s1 = sizes(1.0);
-        let singletons = s1.iter().filter(|&&x| x == 1).count();
-        // Zipf(1.0) over sizes 1..=32: P(1) ≈ 25%, P(32) ≈ 0.8%.
-        let max = s1.iter().filter(|&&x| x == 32).count();
-        assert!(
-            singletons >= 8 * max.max(1),
-            "heavy tail: {singletons} singletons vs {max} max-size sets"
-        );
-        // A larger exponent skews smaller still.
-        let s2 = sizes(2.0);
-        let mean1 = s1.iter().sum::<usize>() as f64 / s1.len() as f64;
-        let mean2 = s2.iter().sum::<usize>() as f64 / s2.len() as f64;
-        assert!(
-            mean2 < mean1,
-            "s=2 mean size {mean2} must undercut s=1 mean {mean1}"
-        );
-    }
-
-    #[test]
-    fn turnstile_catalog_churn_skews_deletes_recent() {
-        // Victim age = (inserts so far) − (deleted insert number): high
-        // churn must delete much younger sets than uniform aging.
-        let mut rng = StdRng::seed_from_u64(13);
-        let mean_age = |churn: f64, rng: &mut StdRng| -> f64 {
-            let cat = turnstile_catalog(rng, 64, 3000, 0.4, churn, 1.0);
-            let (mut seen, mut total, mut count) = (0usize, 0usize, 0usize);
-            for op in cat.ops() {
-                match op {
-                    CatalogOp::Insert { .. } => seen += 1,
-                    CatalogOp::Delete { insert } => {
-                        total += seen - insert;
-                        count += 1;
-                    }
-                }
-            }
-            total as f64 / count.max(1) as f64
-        };
-        let hot = mean_age(1.0, &mut rng);
-        let uniform = mean_age(0.0, &mut rng);
-        assert!(
-            3.0 * hot < uniform,
-            "churn 1.0 mean victim age {hot} must be far below uniform {uniform}"
         );
     }
 }

@@ -13,13 +13,8 @@
 //!   Algorithms take both through `run_in`; the legacy `run` delegates to
 //!   the lazily-initialized sequential runtime.
 //! * [`stream::SetStream`] — multi-pass set streams with enforced pass
-//!   counting; adversarial, random-arrival and sliding-window orders
+//!   counting; adversarial and random-arrival orders
 //!   ([`stream::Arrival`]).
-//! * [`stream::TurnstileStream`] — the deletion-aware ingest path:
-//!   [`stream::Update`] inserts/deletes against an unbounded resident
-//!   system (tombstone + compact) or a sliding window of per-bucket
-//!   arenas dropped whole on expiry; insertion-only update sequences
-//!   reproduce the insertion-only model byte-identically.
 //! * [`meter::SpaceMeter`] — bit-exact working-memory accounting (the
 //!   paper's cost model), with RAII [`meter::ChargeGuard`]s so early
 //!   returns can never leak live bits. Finished workers fold in one of
@@ -40,12 +35,11 @@
 //!   [`report::MaxCoverStreamer`] traits the bench harness sweeps, each
 //!   with the `run_in(&Runtime, &ExecPolicy, …)` entry point.
 //! * [`service`] — the resident serving layer: [`service::CoverService`]
-//!   keeps one mutable `SetSystem` live behind a narrow
-//!   [`service::Request`]/[`service::Response`] API and answers concurrent
-//!   `cover_for_subset` / budgeted `max_cover` / `what_if` queries with
-//!   epoch-keyed caching, single-flight request coalescing and incremental
-//!   CELF-chain reuse — every response byte-identical to a fresh
-//!   single-threaded run at its epoch. An opt-in
+//!   keeps one mutable `SetSystem` live and answers concurrent
+//!   `cover_for_subset` and budgeted `max_cover` queries with epoch-keyed
+//!   caching, single-flight query coalescing and incremental CELF-chain
+//!   reuse — every answer byte-identical to a fresh single-threaded run at
+//!   its epoch. An opt-in
 //!   [`service::CompactionPolicy`] auto-compacts tombstone garbage under
 //!   the mutation write lock, keeping long-lived churn bounded.
 //!
@@ -146,8 +140,5 @@ pub use meter::{Accounting, ChargeGuard, SpaceMeter};
 pub use parallel::ParallelPass;
 pub use report::{CoverRun, MaxCoverRun, MaxCoverStreamer, SetCoverStreamer};
 pub use runtime::{default_workers, DistBackend, ExecPolicy, Runtime};
-pub use service::{
-    Answer, CompactionPolicy, CoverAnswer, CoverService, Mutation, Query, Request, Response,
-    ServiceStats, StreamAnswer,
-};
-pub use stream::{Arrival, SetStream, TurnstileStream, Update};
+pub use service::{CompactionPolicy, CoverAnswer, CoverService, Mutation, ServiceStats};
+pub use stream::{Arrival, SetStream};

@@ -28,11 +28,8 @@
 //! * a **tombstoned** set (deleted but not yet compacted) keeps costing the
 //!   bits of the representation its arena bytes still occupy —
 //!   `SetStore::stored_bits` includes `tombstone_bits`, so retraction never
-//!   makes stored state look cheaper; only `SetStore::compact` (or a
-//!   whole-bucket window drop) gives the bits back;
-//! * a sliding-**window bucket** is charged wholesale while resident:
-//!   expired-in-place slots count as tombstones until their bucket is
-//!   dropped whole (see `TurnstileStream::windowed` in [`crate::stream`]).
+//!   makes stored state look cheaper; only `SetStore::compact` gives the
+//!   bits back.
 
 use std::cell::Cell;
 

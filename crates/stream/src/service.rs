@@ -14,7 +14,7 @@
 //!   clears the cache, so a cached answer can only ever be replayed at the
 //!   epoch it was computed for. Same-epoch repeats are served without
 //!   touching the solver (visible via [`CoverService::stats`]).
-//! * **Request coalescing (single-flight).** Threads asking the *same*
+//! * **Query coalescing (single-flight).** Threads asking the *same*
 //!   query at the same epoch share one computation: the first becomes the
 //!   leader and runs the solver, the rest park on a condvar and receive a
 //!   clone of the leader's answer — simultaneous identical queries cost one
@@ -48,10 +48,8 @@
 //! Consistency model: queries take the resident system's read lock for the
 //! duration of the computation and mutations take the write lock, so every
 //! answer is computed against exactly one epoch (no torn reads), mutations
-//! serialize, and the epoch a response reports is the epoch its bytes were
-//! computed at. [`what_if`](CoverService::what_if) evaluates a hypothetical
-//! mutation against a private clone — the resident system and its caches
-//! are untouched.
+//! serialize, and the epoch an answer reports is the epoch its bytes were
+//! computed at.
 //!
 //! **Garbage.** Removes tombstone: the arena bytes stay resident *and
 //! charged* ([`CoverService::tombstone_bits`]) until a compaction reclaims
@@ -71,16 +69,11 @@
 //! [`max_cover`]: CoverService::max_cover
 //! [`cover_for_subset`]: CoverService::cover_for_subset
 
-use crate::report::{CoverRun, SetCoverStreamer};
 use crate::runtime::{ExecPolicy, Runtime};
-use crate::stream::Arrival;
-use crate::ThresholdGreedy;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
-use streamcover_core::{greedy_cover_until, BitSet, CelfHeap, CompactionMap, SetId, SetSystem};
+use streamcover_core::{BitSet, CelfHeap, CompactionMap, SetId, SetSystem};
 
 /// When the service reclaims tombstoned arena bytes: compact as soon as
 /// the resident system's [`live_ratio`](SetSystem::live_ratio) drops below
@@ -112,34 +105,10 @@ impl CompactionPolicy {
     }
 }
 
-/// A read-only coverage question against the resident system.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Query {
-    /// Greedily cover the given target elements (duplicates and order are
-    /// irrelevant; the service canonicalizes). Unbudgeted: picks until the
-    /// target is covered or no set makes progress.
-    CoverForSubset {
-        /// Target elements (must all be `< universe`).
-        target: Vec<u32>,
-    },
-    /// Budgeted greedy maximum coverage: the first `k` greedy picks against
-    /// the full universe — served incrementally from the epoch's shared
-    /// CELF chain.
-    MaxCover {
-        /// Maximum number of sets to pick.
-        k: usize,
-    },
-    /// A full streaming set-cover run (threshold greedy) on a
-    /// random-arrival stream drawn from `seed` — passes and peak bits
-    /// metered exactly as a standalone run would.
-    StreamCover {
-        /// Arrival shuffle / algorithm seed.
-        seed: u64,
-    },
-}
-
-/// A mutation of the resident system. Committing one bumps the epoch and
-/// invalidates every cached answer.
+/// The record of one committed [`add_set`](CoverService::add_set) or
+/// [`remove_set`](CoverService::remove_set): a caller that logs these
+/// beside the epochs the calls returned can rebuild every epoch's system
+/// and replay answers against it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Mutation {
     /// Append a set (elements sorted + deduplicated by the service).
@@ -155,38 +124,8 @@ pub enum Mutation {
     },
 }
 
-/// The narrow request surface: everything the service can do, as data.
-/// [`CoverService::call`] dispatches these; the typed methods
-/// ([`cover_for_subset`](CoverService::cover_for_subset) etc.) are
-/// convenience wrappers over the same paths.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Request {
-    /// Answer a query against the resident system (cached, coalesced).
-    Query(Query),
-    /// Evaluate `query` as if `mutation` had been applied — against a
-    /// private clone; the resident system is untouched and nothing is
-    /// cached.
-    WhatIf {
-        /// The hypothetical mutation.
-        mutation: Mutation,
-        /// The query to evaluate against the mutated clone.
-        query: Query,
-    },
-    /// Commit [`Mutation::Add`] to the resident system.
-    AddSet {
-        /// The new set's elements.
-        elems: Vec<u32>,
-    },
-    /// Commit [`Mutation::Remove`] to the resident system.
-    RemoveSet {
-        /// Id of the set to remove.
-        id: SetId,
-    },
-    /// Snapshot the service counters.
-    Stats,
-}
-
-/// Answer to a [`Query::CoverForSubset`] or [`Query::MaxCover`].
+/// Answer to [`cover_for_subset`](CoverService::cover_for_subset) or
+/// [`max_cover`](CoverService::max_cover).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CoverAnswer {
     /// The epoch of the system this answer was computed against.
@@ -197,57 +136,6 @@ pub struct CoverAnswer {
     pub covered: usize,
     /// Whether the whole target (subset or universe) is covered.
     pub feasible: bool,
-}
-
-/// Answer to a [`Query::StreamCover`] — a full [`CoverRun`] pinned to the
-/// serving epoch.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct StreamAnswer {
-    /// The epoch of the system this answer was computed against.
-    pub epoch: u64,
-    /// Chosen set ids.
-    pub solution: Vec<SetId>,
-    /// Whether the solution covers the universe.
-    pub feasible: bool,
-    /// Stream passes the run made.
-    pub passes: usize,
-    /// Peak working-memory bits the run metered.
-    pub peak_bits: u64,
-}
-
-/// Any query answer.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Answer {
-    /// Greedy cover / max-cover result.
-    Cover(CoverAnswer),
-    /// Streaming run result.
-    Stream(StreamAnswer),
-}
-
-impl Answer {
-    /// The epoch the answer was computed at.
-    pub fn epoch(&self) -> u64 {
-        match self {
-            Answer::Cover(a) => a.epoch,
-            Answer::Stream(a) => a.epoch,
-        }
-    }
-}
-
-/// Response to a [`Request`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Response {
-    /// A query answer.
-    Answer(Answer),
-    /// A committed mutation: the new epoch, and the appended id for adds.
-    Mutated {
-        /// Epoch after the mutation.
-        epoch: u64,
-        /// `Some(id)` for [`Request::AddSet`], `None` for removes.
-        id: Option<SetId>,
-    },
-    /// Counter snapshot.
-    Stats(ServiceStats),
 }
 
 /// A snapshot of the service counters (monotonic since construction).
@@ -271,24 +159,15 @@ pub struct ServiceStats {
     pub compactions: u64,
 }
 
-/// Canonical identity of a query at one epoch — the cache key.
-#[derive(Clone, Debug, Hash, PartialEq, Eq)]
-enum QueryKey {
-    /// Canonicalized (sorted, deduplicated) subset target.
-    Cover(Vec<u32>),
-    /// Stream seed.
-    Stream(u64),
-}
-
 /// A finished or in-flight cache slot.
 enum Entry {
-    Done(Answer),
+    Done(CoverAnswer),
     InFlight(Arc<Flight>),
 }
 
 /// Rendezvous for coalesced waiters: the leader fills `slot` and notifies.
 struct Flight {
-    slot: Mutex<Option<Answer>>,
+    slot: Mutex<Option<CoverAnswer>>,
     ready: Condvar,
 }
 
@@ -301,11 +180,12 @@ impl Flight {
     }
 }
 
-/// The epoch-keyed answer cache. `epoch` always equals the resident
-/// system's epoch: mutations update both under the write lock.
+/// The epoch-keyed answer cache, keyed by canonical (sorted, deduplicated)
+/// subset target. `epoch` always equals the resident system's epoch:
+/// mutations update both under the write lock.
 struct Cache {
     epoch: u64,
-    entries: HashMap<QueryKey, Entry>,
+    entries: HashMap<Vec<u32>, Entry>,
 }
 
 /// The shared incremental CELF chain for full-universe greedy queries at
@@ -436,7 +316,7 @@ impl Resident {
 
 /// A long-lived, thread-safe serving handle over one resident
 /// [`SetSystem`]: concurrent queries, in-place mutations, epoch-keyed
-/// caching, request coalescing and incremental CELF-chain reuse — every
+/// caching, query coalescing and incremental CELF-chain reuse — every
 /// response byte-identical to a fresh single-threaded run at its epoch.
 ///
 /// ```
@@ -462,7 +342,8 @@ impl Resident {
 /// ```
 pub struct CoverService {
     rt: &'static Runtime,
-    policy: ExecPolicy,
+    /// Fan-out of the max-cover chain's seeding sweep.
+    workers: usize,
     compaction: Option<CompactionPolicy>,
     /// The resident system's universe size; no mutation changes it.
     universe: usize,
@@ -487,18 +368,18 @@ impl CoverService {
         CoverService::with(system, Runtime::global(), ExecPolicy::sequential())
     }
 
-    /// A service over `system` executing on `rt` under `policy` — the
-    /// policy's [`workers`](ExecPolicy::workers) sizes only the seeding
-    /// sweep of the [`max_cover`](Self::max_cover) chain (subset covers
-    /// seed from the postings index), and its seedless fields configure
-    /// streaming runs. Answers are identical for every runtime size and
+    /// A service over `system` executing on `rt` under `policy`. Only the
+    /// seeding sweep of the [`max_cover`](Self::max_cover) chain runs on
+    /// `rt`, fanned out to the policy's [`workers`](ExecPolicy::workers);
+    /// no other policy field is read, and subset covers seed from the
+    /// postings index. Answers are identical for every runtime size and
     /// policy fan-out (the engine's determinism contract). Builds the
     /// element → set postings index, decoding each set once.
     pub fn with(system: SetSystem, rt: &'static Runtime, policy: ExecPolicy) -> CoverService {
         let epoch = system.epoch();
         CoverService {
             rt,
-            policy,
+            workers: policy.workers,
             compaction: None,
             universe: system.universe(),
             resident: RwLock::new(Resident::new(system)),
@@ -532,36 +413,6 @@ impl CoverService {
         self
     }
 
-    /// Dispatches a [`Request`]. The typed methods are thin wrappers over
-    /// exactly these paths.
-    pub fn call(&self, request: Request) -> Response {
-        match request {
-            Request::Query(q) => Response::Answer(self.query(q)),
-            Request::WhatIf { mutation, query } => Response::Answer(self.what_if(mutation, query)),
-            Request::AddSet { elems } => {
-                let (epoch, id) = self.add_set(&elems);
-                Response::Mutated {
-                    epoch,
-                    id: Some(id),
-                }
-            }
-            Request::RemoveSet { id } => Response::Mutated {
-                epoch: self.remove_set(id),
-                id: None,
-            },
-            Request::Stats => Response::Stats(self.stats()),
-        }
-    }
-
-    /// Answers any [`Query`].
-    pub fn query(&self, query: Query) -> Answer {
-        match query {
-            Query::CoverForSubset { target } => Answer::Cover(self.cover_for_subset(&target)),
-            Query::MaxCover { k } => Answer::Cover(self.max_cover(k)),
-            Query::StreamCover { seed } => Answer::Stream(self.stream_cover(seed)),
-        }
-    }
-
     /// Greedy cover of the target elements: byte-identical to
     /// `greedy_cover_until(&system, usize::MAX, &target)` at the answer's
     /// epoch. Cached per `(epoch, canonical target)` and coalesced across
@@ -580,23 +431,18 @@ impl CoverService {
         if let Some(&e) = canon.last() {
             assert!((e as usize) < n, "element {e} out of universe [{n}]");
         }
-        let key = QueryKey::Cover(canon.clone());
-        let answer = self.serve_cached(key, |res, epoch| {
+        self.serve_cached(canon, |res, canon, epoch| {
             let tb = BitSet::from_iter(n, canon.iter().map(|&e| e as usize));
             let r = res
-                .subset_seed(&canon)
+                .subset_seed(canon)
                 .cover_until(&res.sys, usize::MAX, &tb);
-            Answer::Cover(CoverAnswer {
+            CoverAnswer {
                 epoch,
                 covered: r.coverage(),
                 feasible: r.coverage() == tb.len(),
                 solution: r.ids,
-            })
-        });
-        match answer {
-            Answer::Cover(a) => a,
-            Answer::Stream(_) => unreachable!("cover key produced a stream answer"),
-        }
+            }
+        })
     }
 
     /// The first `k` greedy picks against the full universe:
@@ -620,7 +466,7 @@ impl CoverService {
                 .as_ref()
                 .is_some_and(|c| c.exhausted || c.picks.len() >= k);
         if stale {
-            *slot = Some(Chain::seed(self.rt, sys, self.policy.workers, epoch));
+            *slot = Some(Chain::seed(self.rt, sys, self.workers, epoch));
         }
         let chain = slot.as_mut().expect("chain just seeded");
         chain.extend_to(sys, k);
@@ -630,85 +476,6 @@ impl CoverService {
             self.computed.fetch_add(1, Ordering::Relaxed);
         }
         chain.answer(k, sys.universe())
-    }
-
-    /// A full threshold-greedy streaming run on a random-arrival stream
-    /// drawn from `seed`: solution, passes and peak bits byte-identical to
-    /// `ThresholdGreedy.run(&system, Arrival::Random { seed }, &mut
-    /// StdRng::seed_from_u64(seed))` at the answer's epoch. Cached per
-    /// `(epoch, seed)` and coalesced across threads.
-    pub fn stream_cover(&self, seed: u64) -> StreamAnswer {
-        let answer = self.serve_cached(QueryKey::Stream(seed), |res, epoch| {
-            Answer::Stream(stream_answer(
-                epoch,
-                ThresholdGreedy.run_in(
-                    self.rt,
-                    &self.policy.seed(seed),
-                    &res.sys,
-                    Arrival::Random { seed },
-                    &mut StdRng::seed_from_u64(seed),
-                ),
-            ))
-        });
-        match answer {
-            Answer::Stream(a) => a,
-            Answer::Cover(_) => unreachable!("stream key produced a cover answer"),
-        }
-    }
-
-    /// Evaluates `query` as if `mutation` had been committed — against a
-    /// private clone of the resident system. Nothing is cached, the
-    /// resident system and its epoch are untouched, and the answer's
-    /// `epoch` is the *current* epoch the hypothetical is based on.
-    pub fn what_if(&self, mutation: Mutation, query: Query) -> Answer {
-        let (mut clone, epoch) = {
-            let res = self.resident.read().expect("resident system poisoned");
-            (res.sys.clone(), res.sys.epoch())
-        };
-        self.queries.fetch_add(1, Ordering::Relaxed);
-        self.computed.fetch_add(1, Ordering::Relaxed);
-        match mutation {
-            Mutation::Add { elems } => {
-                let mut canon = elems;
-                canon.sort_unstable();
-                canon.dedup();
-                clone.add_set(&canon);
-            }
-            Mutation::Remove { id } => clone.remove_set(id),
-        }
-        match query {
-            Query::CoverForSubset { target } => {
-                let mut canon = target;
-                canon.sort_unstable();
-                canon.dedup();
-                let tb = BitSet::from_iter(clone.universe(), canon.iter().map(|&e| e as usize));
-                let r = greedy_cover_until(&clone, usize::MAX, &tb);
-                Answer::Cover(CoverAnswer {
-                    epoch,
-                    covered: r.coverage(),
-                    feasible: r.coverage() == tb.len(),
-                    solution: r.ids,
-                })
-            }
-            Query::MaxCover { k } => {
-                let full = BitSet::full(clone.universe());
-                let r = greedy_cover_until(&clone, k, &full);
-                Answer::Cover(CoverAnswer {
-                    epoch,
-                    covered: r.coverage(),
-                    feasible: r.coverage() == clone.universe(),
-                    solution: r.ids,
-                })
-            }
-            Query::StreamCover { seed } => Answer::Stream(stream_answer(
-                epoch,
-                ThresholdGreedy.run(
-                    &clone,
-                    Arrival::Random { seed },
-                    &mut StdRng::seed_from_u64(seed),
-                ),
-            )),
-        }
     }
 
     /// Commits a set addition to the resident system (elements sorted and
@@ -844,9 +611,9 @@ impl CoverService {
     /// compute panic cannot strand waiters.
     fn serve_cached(
         &self,
-        key: QueryKey,
-        compute: impl FnOnce(&Resident, u64) -> Answer,
-    ) -> Answer {
+        key: Vec<u32>,
+        compute: impl FnOnce(&Resident, &[u32], u64) -> CoverAnswer,
+    ) -> CoverAnswer {
         let res = self.resident.read().expect("resident system poisoned");
         let epoch = res.sys.epoch();
         self.queries.fetch_add(1, Ordering::Relaxed);
@@ -882,7 +649,7 @@ impl CoverService {
             }
             return slot.clone().expect("flight filled");
         }
-        let answer = compute(&res, epoch);
+        let answer = compute(&res, &key, epoch);
         self.computed.fetch_add(1, Ordering::Relaxed);
         let old = {
             let mut cache = self.cache.lock().expect("cache poisoned");
@@ -924,21 +691,12 @@ impl std::fmt::Debug for CoverService {
     }
 }
 
-/// Pins a [`CoverRun`] to the epoch it was computed at.
-fn stream_answer(epoch: u64, run: CoverRun) -> StreamAnswer {
-    StreamAnswer {
-        epoch,
-        solution: run.solution,
-        feasible: run.feasible,
-        passes: run.passes,
-        peak_bits: run.peak_bits,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use streamcover_core::greedy_max_coverage;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use streamcover_core::{greedy_cover_until, greedy_max_coverage};
 
     fn demo() -> SetSystem {
         SetSystem::from_elements(
@@ -1012,102 +770,6 @@ mod tests {
         assert_eq!(restored.epoch, 2);
         assert_eq!(restored.solution, before.solution);
         assert_eq!(svc.stats().mutations, 2);
-    }
-
-    #[test]
-    fn what_if_leaves_resident_untouched() {
-        let svc = CoverService::new(demo());
-        let hypo = svc.what_if(
-            Mutation::Add {
-                elems: vec![0, 1, 2, 3, 4, 5, 6, 7],
-            },
-            Query::MaxCover { k: 1 },
-        );
-        match hypo {
-            Answer::Cover(a) => {
-                assert_eq!(a.solution, vec![5], "clone sees the hypothetical set");
-                assert!(a.feasible);
-                assert_eq!(a.epoch, 0, "based-on epoch");
-            }
-            Answer::Stream(_) => panic!("cover query"),
-        }
-        assert_eq!(svc.epoch(), 0, "resident epoch untouched");
-        assert_eq!(svc.num_sets(), 5, "resident membership untouched");
-        let real = svc.max_cover(1);
-        assert_eq!(real.solution, greedy_max_coverage(&demo(), 1).ids);
-    }
-
-    #[test]
-    fn stream_cover_matches_standalone_run() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let w = streamcover_dist::planted_cover(&mut rng, 128, 24, 4);
-        let svc = CoverService::new(w.system.clone());
-        // Workload builders construct through the public mutators, so the
-        // system arrives at a nonzero epoch — the service serves whatever
-        // epoch the system carries.
-        let e0 = w.system.epoch();
-        let a = svc.stream_cover(9);
-        assert_eq!(a.epoch, e0);
-        let fresh = ThresholdGreedy.run(
-            &w.system,
-            Arrival::Random { seed: 9 },
-            &mut StdRng::seed_from_u64(9),
-        );
-        assert_eq!(a.solution, fresh.solution);
-        assert_eq!(a.feasible, fresh.feasible);
-        assert_eq!(a.passes, fresh.passes);
-        assert_eq!(a.peak_bits, fresh.peak_bits);
-        // Same seed: cached. Different seed: computed.
-        let b = svc.stream_cover(9);
-        assert_eq!(a, b);
-        let c = svc.stream_cover(10);
-        assert_eq!(c.epoch, e0);
-        let s = svc.stats();
-        assert_eq!(s.computed, 2);
-        assert_eq!(s.cache_hits, 1);
-    }
-
-    #[test]
-    fn request_response_roundtrip() {
-        let svc = CoverService::new(demo());
-        let r = svc.call(Request::Query(Query::MaxCover { k: 2 }));
-        let direct = svc.max_cover(2);
-        assert_eq!(r, Response::Answer(Answer::Cover(direct)));
-        let r = svc.call(Request::AddSet {
-            elems: vec![6, 0, 6],
-        });
-        assert_eq!(
-            r,
-            Response::Mutated {
-                epoch: 1,
-                id: Some(5)
-            }
-        );
-        let r = svc.call(Request::RemoveSet { id: 5 });
-        assert_eq!(r, Response::Mutated { epoch: 2, id: None });
-        match svc.call(Request::Stats) {
-            Response::Stats(s) => {
-                assert_eq!(s.epoch, 2);
-                assert_eq!(s.mutations, 2);
-            }
-            other => panic!("expected stats, got {other:?}"),
-        }
-        let r = svc.call(Request::WhatIf {
-            mutation: Mutation::Remove { id: 0 },
-            query: Query::CoverForSubset {
-                target: vec![0, 1, 2],
-            },
-        });
-        match r {
-            Response::Answer(Answer::Cover(a)) => {
-                let mut clone = svc.snapshot();
-                clone.remove_set(0);
-                let tb = BitSet::from_iter(8, [0usize, 1, 2]);
-                let fresh = greedy_cover_until(&clone, usize::MAX, &tb);
-                assert_eq!(a.solution, fresh.ids);
-            }
-            other => panic!("expected cover answer, got {other:?}"),
-        }
     }
 
     #[test]
@@ -1256,6 +918,5 @@ mod tests {
             seq.cover_for_subset(&[1, 5, 9, 200]),
             pooled.cover_for_subset(&[1, 5, 9, 200])
         );
-        assert_eq!(seq.stream_cover(2), pooled.stream_cover(2));
     }
 }

@@ -15,7 +15,7 @@
 //! |-------|----------|
 //! | [`core`] | bitsets, set systems, offline greedy/exact solvers |
 //! | [`dist`] | the hard distributions `D_Disj`, `D_SC`, `D^rnd_SC`, `D_GHD`, `D_MC` and realistic workloads |
-//! | [`stream`] | the streaming substrate (pass counting, bit metering, turnstile + sliding-window ingest) and the algorithms: Algorithm 1 with ablation knobs, threshold greedy, store-all, online-prune, and streaming max coverage |
+//! | [`stream`] | the streaming substrate (pass counting, bit metering, the resident `CoverService`) and the algorithms: Algorithm 1 with ablation knobs, threshold greedy, store-all, online-prune, and streaming max coverage |
 //! | [`comm`] | the two-party communication model, concrete protocols, the executable reductions of Lemmas 3.4/4.5 + the Theorem 1 adapter, and the distributed shard-owner executor (`cluster`) whose wire traffic is metered by the same transcripts |
 //! | [`info`] | entropy/MI estimators, the paper's concentration bounds, Facts A.1–A.4, information-cost estimation |
 //!
@@ -60,19 +60,17 @@ pub mod prelude {
         KernelTier, ReprPolicy, SetId, SetRepr, SetSystem, StoreShard,
     };
     pub use streamcover_dist::{
-        blog_watch, planted_cover, podcast_catalog, sample_dmc, sample_dsc, turnstile_catalog,
-        uniform_random, zipf_query_mix, CatalogOp, McParams, ScParams, TurnstileCatalog,
-        ZipfQueryMix,
+        blog_watch, planted_cover, podcast_catalog, sample_dmc, sample_dsc, uniform_random,
+        zipf_query_mix, McParams, ScParams, ZipfQueryMix,
     };
     pub use streamcover_info::{
         dsc_lower_bound_bits, estimate_disj_icost, mutual_information, Empirical,
     };
     pub use streamcover_stream::DistBackend;
     pub use streamcover_stream::{
-        Accounting, Answer, Arrival, CompactionPolicy, CoverAnswer, CoverRun, CoverService,
+        Accounting, Arrival, CompactionPolicy, CoverAnswer, CoverRun, CoverService,
         ElementSampling, ExecPolicy, GuessDriver, HarPeledAssadi, MaxCoverRun, MaxCoverStreamer,
-        Mutation, OnlinePrune, ParallelPass, Query, Request, Response, Runtime, SahaGetoorSwap,
-        ServiceStats, SetCoverStreamer, SetStream, SieveStream, SpaceMeter, StoreAll, StreamAnswer,
-        ThresholdGreedy, TurnstileStream, Update,
+        Mutation, OnlinePrune, ParallelPass, Runtime, SahaGetoorSwap, ServiceStats,
+        SetCoverStreamer, SetStream, SieveStream, SpaceMeter, StoreAll, ThresholdGreedy,
     };
 }

@@ -1,5 +1,6 @@
 //! Cross-crate property tests (proptest): the invariants every component
-//! must satisfy on arbitrary inputs.
+//! must satisfy on arbitrary inputs, including the compaction that
+//! `CoverService` runs under churn.
 
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
@@ -12,6 +13,29 @@ fn arb_system() -> impl Strategy<Value = SetSystem> {
         proptest::collection::vec(proptest::collection::vec(0usize..n, 0..n), m)
             .prop_map(move |lists| SetSystem::from_elements(n, &lists))
     })
+}
+
+/// Strategy: canonical (strictly increasing) element lists over `[n]`.
+fn arb_lists() -> impl Strategy<Value = (usize, Vec<Vec<u32>>)> {
+    (2usize..24, 1usize..10).prop_flat_map(|(n, m)| {
+        proptest::collection::vec(proptest::collection::vec(0u32..n as u32, 0..n), m).prop_map(
+            move |mut lists| {
+                for l in &mut lists {
+                    l.sort_unstable();
+                    l.dedup();
+                }
+                (n, lists)
+            },
+        )
+    })
+}
+
+fn build(n: usize, lists: &[Vec<u32>]) -> SetSystem {
+    let mut sys = SetSystem::new(n);
+    for l in lists {
+        sys.add_set(l);
+    }
+    sys
 }
 
 proptest! {
@@ -148,5 +172,57 @@ proptest! {
         let run = HarPeledAssadi::scaled(2, 0.5).run(&w.system, Arrival::Random { seed }, &mut rng);
         prop_assert!(run.feasible);
         prop_assert!(run.peak_bits > 0);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    // Answers commute with compaction modulo the id remap.
+    #[test]
+    fn compact_then_solve_equals_solve_then_remap(
+        input in arb_lists(),
+        removal_mask in proptest::collection::vec(proptest::bool::ANY, 10),
+    ) {
+        let (n, lists) = input;
+        let mut sys = build(n, &lists);
+        for (id, &kill) in removal_mask.iter().take(sys.len()).enumerate() {
+            if kill {
+                sys.remove_set(id);
+            }
+        }
+        let before = sys.clone();
+        let mut compacted = sys.clone();
+        let map = compacted.compact();
+        prop_assert_eq!(map.len_before(), before.len());
+        prop_assert_eq!(map.len_after(), compacted.len());
+        prop_assert_eq!(compacted.tombstone_bits(), 0);
+
+        // Offline greedy on the tombstoned system vs the compacted one.
+        let old = greedy_set_cover(&before);
+        let new = greedy_set_cover(&compacted);
+        prop_assert_eq!(map.remap_ids(&old.ids), new.ids.clone());
+        prop_assert_eq!(old.coverage(), new.coverage());
+        prop_assert_eq!(old.is_feasible(), new.is_feasible());
+
+        // Streaming threshold greedy: the pick sequence remaps too.
+        let so = ThresholdGreedy.run(&before, Arrival::Adversarial,
+            &mut StdRng::seed_from_u64(3));
+        let sn = ThresholdGreedy.run(&compacted, Arrival::Adversarial,
+            &mut StdRng::seed_from_u64(3));
+        prop_assert_eq!(map.remap_ids(&so.solution), sn.solution);
+        prop_assert_eq!(so.feasible, sn.feasible);
+    }
+
+    // Compaction without tombstones changes nothing.
+    #[test]
+    fn tombstone_free_compaction_is_a_semantic_noop(input in arb_lists()) {
+        let (n, lists) = input;
+        let mut sys = build(n, &lists);
+        let orig = sys.clone();
+        let map = sys.compact();
+        prop_assert!(map.is_identity());
+        prop_assert_eq!(&sys, &orig);
+        prop_assert_eq!(sys.stored_bits(), orig.stored_bits());
     }
 }

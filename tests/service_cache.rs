@@ -45,7 +45,7 @@ proptest! {
 
     #[test]
     fn cache_is_invisible_under_arbitrary_interleavings(
-        ops in proptest::collection::vec((0usize..8, 0usize..4, 0usize..16), 1..40),
+        ops in proptest::collection::vec((0usize..7, 0usize..4, 0usize..16), 1..40),
     ) {
         let shadow_src = base_system();
         let svc = CoverService::new(shadow_src.clone());
@@ -89,7 +89,7 @@ proptest! {
                 }
                 // Budgeted max-cover: chain answers fresh-equal; repeats on
                 // an already-drawn prefix are hits.
-                5 | 6 => {
+                _ => {
                     let k = misc % 8;
                     let a = svc.max_cover(k);
                     let fresh = greedy_max_coverage(&shadow, k);
@@ -104,24 +104,6 @@ proptest! {
                         hits_before + 1,
                         "drawn-prefix repeat must hit the chain"
                     );
-                }
-                // Streaming runs: fresh-equal including passes/peak bits.
-                _ => {
-                    let seed = (misc % 3) as u64;
-                    let a = svc.stream_cover(seed);
-                    let fresh = ThresholdGreedy.run(
-                        &shadow,
-                        Arrival::Random { seed },
-                        &mut StdRng::seed_from_u64(seed),
-                    );
-                    prop_assert_eq!(a.epoch, shadow.epoch(), "stale epoch served");
-                    prop_assert_eq!(&a.solution, &fresh.solution);
-                    prop_assert_eq!(a.passes, fresh.passes);
-                    prop_assert_eq!(a.peak_bits, fresh.peak_bits);
-                    let hits_before = svc.stats().cache_hits;
-                    let b = svc.stream_cover(seed);
-                    prop_assert_eq!(&a, &b, "same-epoch repeat changed");
-                    prop_assert_eq!(svc.stats().cache_hits, hits_before + 1);
                 }
             }
         }

@@ -1,13 +1,13 @@
 //! Integration: `CoverService` linearizability — N worker threads fire
-//! interleaved queries, hypotheticals and mutations at one service on the
-//! shared global `Runtime`, every response records the epoch it was served
-//! at, and afterwards a *sequential replay* reconstructs each epoch's
-//! system from the mutation log and recomputes every sampled answer fresh.
-//! Every field of every response — picks, coverage, feasibility, passes,
-//! peak bits — must be byte-identical to the fresh single-threaded run at
-//! its epoch, at 1/2/4/8 threads: caching, coalescing, CELF-chain reuse and
-//! the postings-seeded subset covers are execution optimizations only,
-//! never visible in an answer. The compaction batteries rerun this under an
+//! interleaved subset covers, budgeted max covers and mutations at one
+//! service on the shared global `Runtime`, every answer records the epoch
+//! it was served at, and afterwards a *sequential replay* reconstructs each
+//! epoch's system from the mutation log and recomputes every sampled answer
+//! fresh. Every field of every answer — picks, coverage, feasibility — must
+//! be byte-identical to the fresh single-threaded run at its epoch, at
+//! 1/2/4/8 threads: caching, coalescing, CELF-chain reuse and the
+//! postings-seeded subset covers are execution optimizations only, never
+//! visible in an answer. The compaction batteries rerun this under an
 //! auto-compaction policy that fires (the postings index is rebuilt over
 //! renumbered ids), for every layout forcing and chain fan-outs 1 and 2.
 
@@ -16,12 +16,23 @@ use std::sync::Mutex;
 use streamcover::core::random_subset_elems;
 use streamcover::prelude::*;
 
-/// One sampled response: the hypothetical mutation (for `what_if`), the
-/// query, and the answer the service returned.
-struct Sample {
-    hypo: Option<Mutation>,
-    query: Query,
-    answer: Answer,
+/// One sampled answer, with the query that produced it.
+enum Sample {
+    /// `cover_for_subset(target)`.
+    Subset {
+        target: Vec<u32>,
+        answer: CoverAnswer,
+    },
+    /// `max_cover(k)`.
+    MaxCover { k: usize, answer: CoverAnswer },
+}
+
+impl Sample {
+    fn answer(&self) -> &CoverAnswer {
+        match self {
+            Sample::Subset { answer, .. } | Sample::MaxCover { answer, .. } => answer,
+        }
+    }
 }
 
 /// The fixed pool of subset targets every thread queries from — repeats
@@ -33,22 +44,18 @@ fn target_pool(n: usize) -> Vec<Vec<u32>> {
         .collect()
 }
 
-/// Applies a logged mutation to the replay system — the same calls the
-/// service commits through, so replay epochs advance in lockstep.
-fn apply(sys: &mut SetSystem, m: &Mutation) {
+/// Replays one logged `(epoch, mutation)` through the calls the service
+/// commits through, so replay epochs advance in lockstep. A remove the
+/// service followed with an auto-compaction logged the post-compaction
+/// epoch, one past the mutation's own bump, and the replay compacts the
+/// same way.
+fn advance(sys: &mut SetSystem, (epoch, m): &(u64, Mutation)) {
     match m {
         Mutation::Add { elems } => {
             sys.add_set(elems);
         }
         Mutation::Remove { id } => sys.remove_set(*id),
     }
-}
-
-/// Replays one logged `(epoch, mutation)`: a remove the service followed
-/// with an auto-compaction logged the post-compaction epoch, one past the
-/// mutation's own bump, and the replay compacts the same way.
-fn advance(sys: &mut SetSystem, (epoch, m): &(u64, Mutation)) {
-    apply(sys, m);
     if sys.epoch() < *epoch {
         sys.compact();
     }
@@ -87,11 +94,11 @@ const REPRS: [ReprPolicy; 5] = [
     ReprPolicy::ForceEliasFano,
 ];
 
-/// Recomputes `query` fresh and single-threaded against `sys` and asserts
-/// the served answer is byte-identical.
-fn assert_matches_fresh(sys: &SetSystem, query: &Query, answer: &Answer, ctx: &str) {
-    match (query, answer) {
-        (Query::CoverForSubset { target }, Answer::Cover(a)) => {
+/// Recomputes the sampled query fresh and single-threaded against `sys`
+/// and asserts the served answer is byte-identical.
+fn assert_matches_fresh(sys: &SetSystem, sample: &Sample, ctx: &str) {
+    match sample {
+        Sample::Subset { target, answer: a } => {
             let mut canon = target.clone();
             canon.sort_unstable();
             canon.dedup();
@@ -101,24 +108,12 @@ fn assert_matches_fresh(sys: &SetSystem, query: &Query, answer: &Answer, ctx: &s
             assert_eq!(a.covered, fresh.coverage(), "{ctx}: subset coverage");
             assert_eq!(a.feasible, fresh.coverage() == tb.len(), "{ctx}");
         }
-        (Query::MaxCover { k }, Answer::Cover(a)) => {
+        Sample::MaxCover { k, answer: a } => {
             let fresh = greedy_max_coverage(sys, *k);
             assert_eq!(a.solution, fresh.ids, "{ctx}: max-cover picks at k={k}");
             assert_eq!(a.covered, fresh.coverage(), "{ctx}: max-cover coverage");
             assert_eq!(a.feasible, fresh.is_feasible(), "{ctx}");
         }
-        (Query::StreamCover { seed }, Answer::Stream(a)) => {
-            let fresh = ThresholdGreedy.run(
-                sys,
-                Arrival::Random { seed: *seed },
-                &mut StdRng::seed_from_u64(*seed),
-            );
-            assert_eq!(a.solution, fresh.solution, "{ctx}: stream picks");
-            assert_eq!(a.feasible, fresh.feasible, "{ctx}");
-            assert_eq!(a.passes, fresh.passes, "{ctx}: stream passes");
-            assert_eq!(a.peak_bits, fresh.peak_bits, "{ctx}: stream peak bits");
-        }
-        (q, a) => panic!("{ctx}: answer kind mismatch for {q:?}: {a:?}"),
     }
 }
 
@@ -144,8 +139,8 @@ fn run_battery(cfg: Config) {
     let pool = target_pool(n);
     let mutation_log: Mutex<Vec<(u64, Mutation)>> = Mutex::new(Vec::new());
     // A compaction shrinks the id range. With a policy set, a thread holds
-    // this gate from drawing an id until its remove or hypothetical is
-    // served, so the id stays in range; without one the range only grows.
+    // this gate from drawing an id until its remove is served, so the id
+    // stays in range; without one the range only grows.
     let gate = Mutex::new(());
 
     let mut samples: Vec<Sample> = std::thread::scope(|s| {
@@ -181,53 +176,15 @@ fn run_battery(cfg: Config) {
                                     .unwrap()
                                     .push((epoch, Mutation::Remove { id }));
                             }
-                            2 => {
-                                let _held = hold();
-                                let hypo = if rng.gen_bool(0.5) {
-                                    Mutation::Add {
-                                        elems: random_subset_elems(&mut rng, n, 16),
-                                    }
-                                } else {
-                                    Mutation::Remove {
-                                        id: rng.gen_range(0..svc.num_sets()),
-                                    }
-                                };
-                                let query = Query::MaxCover {
-                                    k: rng.gen_range(1..6),
-                                };
-                                let answer = svc.what_if(hypo.clone(), query.clone());
-                                out.push(Sample {
-                                    hypo: Some(hypo),
-                                    query,
-                                    answer,
-                                });
-                            }
-                            3..=5 => {
+                            2..=5 => {
                                 let target = pool[rng.gen_range(0..pool.len())].clone();
-                                let a = svc.cover_for_subset(&target);
-                                out.push(Sample {
-                                    hypo: None,
-                                    query: Query::CoverForSubset { target },
-                                    answer: Answer::Cover(a),
-                                });
-                            }
-                            6 | 7 => {
-                                let k = rng.gen_range(0..10);
-                                let a = svc.max_cover(k);
-                                out.push(Sample {
-                                    hypo: None,
-                                    query: Query::MaxCover { k },
-                                    answer: Answer::Cover(a),
-                                });
+                                let answer = svc.cover_for_subset(&target);
+                                out.push(Sample::Subset { target, answer });
                             }
                             _ => {
-                                let seed = rng.gen_range(0u64..3);
-                                let a = svc.stream_cover(seed);
-                                out.push(Sample {
-                                    hypo: None,
-                                    query: Query::StreamCover { seed },
-                                    answer: Answer::Stream(a),
-                                });
+                                let k = rng.gen_range(0..10);
+                                let answer = svc.max_cover(k);
+                                out.push(Sample::MaxCover { k, answer });
                             }
                         }
                     }
@@ -260,11 +217,12 @@ fn run_battery(cfg: Config) {
     // Sequential replay: walk the samples in epoch order, advancing a
     // rolling copy of the initial system through the mutation log, and
     // recompute every answer fresh at its serving epoch.
-    samples.sort_by_key(|s| s.answer.epoch());
+    samples.sort_by_key(|s| s.answer().epoch);
     let mut replay = initial.clone();
     let mut applied = 0usize;
+    let (mut subsets, mut max_covers) = (0usize, 0usize);
     for (i, sample) in samples.iter().enumerate() {
-        let epoch = sample.answer.epoch();
+        let epoch = sample.answer().epoch;
         while replay.epoch() < epoch {
             advance(&mut replay, &log[applied]);
             applied += 1;
@@ -275,25 +233,17 @@ fn run_battery(cfg: Config) {
             "sample {i}: served epoch must be reachable by replay"
         );
         let ctx = format!("{cfg:?} sample={i} epoch={epoch}");
-        match &sample.hypo {
-            None => assert_matches_fresh(&replay, &sample.query, &sample.answer, &ctx),
-            Some(hypo) => {
-                // what_if: the answer is based on this epoch's system plus
-                // the hypothetical — which must not have leaked into the
-                // replay stream (the log only holds committed mutations).
-                let mut ghost = replay.clone();
-                apply(&mut ghost, hypo);
-                match (&sample.query, &sample.answer) {
-                    (Query::MaxCover { k }, Answer::Cover(a)) => {
-                        let fresh = greedy_max_coverage(&ghost, *k);
-                        assert_eq!(a.solution, fresh.ids, "{ctx}: what-if picks");
-                        assert_eq!(a.covered, fresh.coverage(), "{ctx}: what-if coverage");
-                    }
-                    (q, a) => panic!("{ctx}: unexpected what-if shape {q:?} / {a:?}"),
-                }
-            }
+        assert_matches_fresh(&replay, sample, &ctx);
+        match sample {
+            Sample::Subset { .. } => subsets += 1,
+            Sample::MaxCover { .. } => max_covers += 1,
         }
     }
+    // A replay with no answers of a kind would check nothing about it.
+    assert!(
+        subsets >= 1 && max_covers >= 1,
+        "replayed {subsets} subset and {max_covers} max-cover answers ({cfg:?})"
+    );
 
     let stats = svc.stats();
     assert_eq!(
