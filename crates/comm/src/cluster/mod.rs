@@ -25,8 +25,7 @@
 //!
 //! The standing invariant: the distributed solution is **byte-identical**
 //! to `greedy_cover_until` at every owner count, fabric, and
-//! representation policy (gated by `tests/dist_cover.rs` and the
-//! `substrate_bench` `dist` arm).
+//! representation policy (gated by `tests/dist_cover.rs`).
 
 pub mod driver;
 pub mod protocol;

@@ -12,8 +12,8 @@
 //! are submodular, so a max-heap of stale upper bounds only re-evaluates the
 //! top candidate instead of rescanning all `m` sets per pick. The eager
 //! `O(picks·m)` scan survives as [`greedy_cover_until_eager`] for the
-//! substrate benchmarks. Both produce identical solutions (largest gain,
-//! ties to the smallest id).
+//! lazy-vs-eager timing gate and the equivalence tests. Both produce
+//! identical solutions (largest gain, ties to the smallest id).
 
 use crate::bitset::BitSet;
 use crate::shard::StoreShard;
@@ -328,8 +328,8 @@ impl CelfHeap {
 }
 
 /// The eager `O(picks·m)` greedy scan — the pre-CELF reference
-/// implementation, kept for the substrate benchmarks and the equivalence
-/// tests. Produces exactly the same picks as [`greedy_cover_until`].
+/// implementation, kept for the lazy-vs-eager timing gate and the
+/// equivalence tests. Produces exactly the same picks as [`greedy_cover_until`].
 pub fn greedy_cover_until_eager(sys: &SetSystem, max_picks: usize, target: &BitSet) -> CoverResult {
     assert_eq!(
         target.capacity(),

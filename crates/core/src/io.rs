@@ -112,6 +112,13 @@ pub fn read_instance(text: &str) -> Result<SetSystem, ParseError> {
             "trailing tokens in: {header}"
         )));
     }
+    // Elements are stored as `u32`, so a universe past `2^32` cannot be
+    // represented: its larger ids would truncate.
+    if n as u64 > 1 << 32 {
+        return Err(ParseError::BadHeader(format!(
+            "universe {n} exceeds 2^32 in: {header}"
+        )));
+    }
 
     let mut sys = SetSystem::new(n);
     let mut count = 0usize;
@@ -228,6 +235,21 @@ mod tests {
             read_instance("p setcover 3 1 junk\ns 0\n"),
             Err(ParseError::BadHeader(_))
         ));
+    }
+
+    #[test]
+    fn universe_past_u32_is_a_bad_header() {
+        // Element 2^32 + 5 would truncate to 5 if the header were accepted.
+        for set_line in ["s 4294967301", "s 5 4294967301"] {
+            let text = format!("p setcover 8589934592 1\n{set_line}\n");
+            assert!(
+                matches!(read_instance(&text), Err(ParseError::BadHeader(_))),
+                "{set_line}"
+            );
+        }
+        // 2^32 itself fits: its largest id is u32::MAX.
+        let sys = read_instance("p setcover 4294967296 1\ns 5 4294967295\n").unwrap();
+        assert_eq!(sys.set(0).to_vec(), vec![5, 4294967295]);
     }
 
     #[test]

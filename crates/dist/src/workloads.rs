@@ -259,7 +259,7 @@ pub fn zipf_query_mix<R: Rng + ?Sized>(
 ///   so head topics appear in many shows (dense residual churn) while the
 ///   tail is covered by few.
 ///
-/// The full-scale instance the bench arm runs is
+/// The full-scale instance perfbench's `podcast_dist` workload runs is
 /// `podcast_catalog(rng, 100_000, topics)` — ~10⁵ shows, as in the
 /// dataset.
 ///

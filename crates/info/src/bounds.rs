@@ -28,8 +28,8 @@ pub fn disj_lower_bound_bits(t: usize) -> f64 {
 /// hard distribution decides the embedded `Disj_t` instance, so its
 /// transcript must carry at least [`disj_lower_bound_bits`]`(t)` bits.
 /// This is the gate the distributed executor's measured
-/// `Transcript::total_bits()` is checked against (measured ≥ bound; the
-/// ratio is logged by the `substrate_bench` `dist` arm).
+/// `Transcript::total_bits()` is checked against (measured ≥ bound, in
+/// `tests/dist_cover.rs`).
 pub fn dsc_lower_bound_bits(t: usize) -> f64 {
     disj_lower_bound_bits(t)
 }

@@ -34,7 +34,7 @@ use crate::runtime::{ExecPolicy, Runtime};
 use crate::stream::{Arrival, SetStream};
 use rand::rngs::StdRng;
 use rand::Rng;
-use streamcover_core::{ceil_log2, cover_within, greedy_cover_until, BitSet, SetId, SetSystem};
+use streamcover_core::{ceil_log2, cover_within, BitSet, SetId, SetSystem};
 
 /// Which pruning discipline to run before/within the sampling rounds.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -61,28 +61,6 @@ pub enum SamplingRate {
     Coarse,
 }
 
-/// How the offline oracle on the sampled instance is realized.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum InnerSolver {
-    /// Exact branch-and-bound ([`cover_within`]) capped at `k = o͂pt` picks,
-    /// run over the sampled sub-universe: `U_smpl` is relabelled onto
-    /// `0..|U_smpl|` and each stored projection becomes one row of
-    /// `⌈|U_smpl|/64⌉` words, at most `m × ⌈|U_smpl|/64⌉` words per call.
-    /// The cap prunes every branch past `k` picks, since a larger cover is
-    /// discarded anyway. When the node budget trips, the round keeps the
-    /// best cover of at most `k` sets found so far (greedy's, at worst).
-    /// The `(α+ε)` guarantee holds whenever the search completes, which it
-    /// virtually always does at our scales because the sampled instances
-    /// have tiny covers.
-    Exact {
-        /// Search-node budget per round.
-        node_budget: u64,
-    },
-    /// Plain greedy on the sample — faster, weakens the per-round pick
-    /// bound from `o͂pt` to `o͂pt·H(|U_smpl|)`.
-    Greedy,
-}
-
 /// Algorithm 1 with its ablation knobs.
 ///
 /// The struct carries *algorithmic* parameters only. Execution —
@@ -101,8 +79,18 @@ pub struct HarPeledAssadi {
     pub pruning: Pruning,
     /// Sampling rate.
     pub rate: SamplingRate,
-    /// Offline oracle realization.
-    pub solver: InnerSolver,
+    /// Search-node budget per round of the offline oracle: exact
+    /// branch-and-bound ([`cover_within`]) capped at `k = o͂pt` picks, run
+    /// over the sampled sub-universe. `U_smpl` is relabelled onto
+    /// `0..|U_smpl|` and each stored projection becomes one row of
+    /// `⌈|U_smpl|/64⌉` words, at most `m × ⌈|U_smpl|/64⌉` words per call.
+    /// The cap prunes every branch past `k` picks, since a larger cover is
+    /// discarded anyway. When the budget trips, the round keeps the best
+    /// cover of at most `k` sets found so far (greedy's, at worst). The
+    /// `(α+ε)` guarantee holds whenever the search completes, which it
+    /// virtually always does at our scales because the sampled instances
+    /// have tiny covers.
+    pub node_budget: u64,
     /// The constant `c` in the sampling rate `p = c·k·ln m/(ρ·n)`. The
     /// paper's analysis uses 16; at laptop scale `16·ln m` can exceed
     /// `n^{1−1/α}` and cap `p` at 1 (degenerating the algorithm into
@@ -116,7 +104,7 @@ pub struct HarPeledAssadi {
 impl HarPeledAssadi {
     /// The paper's configuration: one-shot pruning, fine sampling, `c = 16`,
     /// and the exact oracle capped at `k` picks on the compact bit-matrix
-    /// of the sample (see [`InnerSolver::Exact`]).
+    /// of the sample (see [`node_budget`](Self::node_budget)).
     pub fn paper(alpha: usize, eps: f64) -> Self {
         assert!(alpha >= 1, "α ≥ 1 required");
         assert!(eps > 0.0 && eps <= 1.0, "ε ∈ (0,1] required");
@@ -125,9 +113,7 @@ impl HarPeledAssadi {
             eps,
             pruning: Pruning::OneShot,
             rate: SamplingRate::Fine,
-            solver: InnerSolver::Exact {
-                node_budget: 50_000,
-            },
+            node_budget: 50_000,
             rate_constant: 16.0,
         }
     }
@@ -274,15 +260,9 @@ impl HarPeledAssadi {
     /// Solves set cover of `target` on the stored projections, returning at
     /// most `k` ids or `None` when `k` do not suffice.
     fn solve_sample(&self, projected: &SetSystem, target: &BitSet, k: usize) -> Option<Vec<SetId>> {
-        match self.solver {
-            InnerSolver::Exact { node_budget } => {
-                cover_within(projected, target, k, node_budget).0.ok()?
-            }
-            InnerSolver::Greedy => {
-                let r = greedy_cover_until(projected, k, target);
-                (r.covered == *target).then_some(r.ids)
-            }
-        }
+        cover_within(projected, target, k, self.node_budget)
+            .0
+            .ok()?
     }
 }
 
@@ -425,18 +405,6 @@ mod tests {
         let run = algo.run(&w.system, Arrival::Random { seed: 99 }, &mut rng);
         assert!(run.feasible);
         assert!(run.passes <= 7);
-    }
-
-    #[test]
-    fn greedy_solver_still_feasible() {
-        let mut rng = StdRng::seed_from_u64(15);
-        let w = planted_cover(&mut rng, 512, 48, 6);
-        let algo = HarPeledAssadi {
-            solver: InnerSolver::Greedy,
-            ..HarPeledAssadi::paper(3, 0.5)
-        };
-        let run = algo.run(&w.system, Arrival::Adversarial, &mut rng);
-        assert!(run.feasible);
     }
 
     #[test]

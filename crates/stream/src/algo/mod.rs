@@ -2,12 +2,10 @@
 
 pub mod harpeled;
 pub mod online_prune;
-pub mod pass_limited;
 pub mod store_all;
 pub mod threshold_greedy;
 
-pub use harpeled::{HarPeledAssadi, InnerSolver, Pruning, SamplingRate};
+pub use harpeled::{HarPeledAssadi, Pruning, SamplingRate};
 pub use online_prune::OnlinePrune;
-pub use pass_limited::PassLimited;
 pub use store_all::StoreAll;
 pub use threshold_greedy::ThresholdGreedy;

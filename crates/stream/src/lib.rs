@@ -130,10 +130,7 @@ pub mod runtime;
 pub mod service;
 pub mod stream;
 
-pub use algo::{
-    HarPeledAssadi, InnerSolver, OnlinePrune, PassLimited, Pruning, SamplingRate, StoreAll,
-    ThresholdGreedy,
-};
+pub use algo::{HarPeledAssadi, OnlinePrune, Pruning, SamplingRate, StoreAll, ThresholdGreedy};
 pub use guessing::GuessDriver;
 pub use maxcov::{ElementSampling, McOracle, SahaGetoorSwap, SieveStream};
 pub use meter::{Accounting, ChargeGuard, SpaceMeter};

@@ -10,6 +10,7 @@ use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
 use streamcover::comm::cluster::{encode_frame, Frame};
 use streamcover::comm::transcript::{Message, Player};
+use streamcover::core::greedy_cover_until_sharded;
 use streamcover::dist::sample_dsc_with_theta;
 use streamcover::prelude::*;
 
@@ -220,6 +221,48 @@ proptest! {
     }
 }
 
+/// The two catalogue shapes at their CI scale: a planted 1024/128/8
+/// instance and the 2,000-show podcast catalogue, whose Zipf sizes make the
+/// set-range shards heavily unbalanced (the stress case for the
+/// gather-all-reports round). At 1 and 4 owners over both thread fabrics,
+/// a 16-pick run returns the sequential CELF run, the in-process sharded
+/// seeding agrees with it, and the measured protocol bits equal the
+/// frame-size prediction.
+#[test]
+fn catalogue_runs_equal_celf_and_bill_their_predicted_bits() {
+    let mut rng = StdRng::seed_from_u64(2017 ^ 0xD157);
+    let workloads = [
+        ("planted", planted_cover(&mut rng, 1024, 128, 8).system),
+        ("podcast", podcast_catalog(&mut rng, 2_000, 256, 1.0)),
+    ];
+    let max_picks = 16;
+    for (name, sys) in &workloads {
+        let target = BitSet::full(sys.universe());
+        let reference = greedy_cover_until(sys, max_picks, &target);
+        for owners in [1usize, 4] {
+            assert_eq!(
+                greedy_cover_until_sharded(sys, owners, max_picks, &target),
+                reference,
+                "{name}: sharded seeding diverged at {owners} workers"
+            );
+            for backend in [DistBackend::InProcess, DistBackend::Socket] {
+                let run = DistCover::new(owners, backend)
+                    .cover(sys, max_picks, &target)
+                    .expect("distributed run failed");
+                assert_eq!(
+                    run.result, reference,
+                    "{name}: {owners} owners, {backend:?}"
+                );
+                assert_eq!(
+                    run.total_bits(),
+                    run.predicted_bits(),
+                    "{name}: {owners} owners, {backend:?}"
+                );
+            }
+        }
+    }
+}
+
 /// The process fabric — real spawned `cluster_owner` processes over a
 /// Unix-domain listener — produces the same bytes, and pays for shipping
 /// the shards (`setup_bits`) separately from the protocol transcript.
@@ -310,6 +353,11 @@ fn dsc_measured_bits_dominate_info_lower_bound() {
         let sys = inst.combined(); // Alice's sets 0..m, Bob's m..2m
         let target = BitSet::full(p.n);
         let reference = greedy_cover_until(&sys, sys.len(), &target);
+        assert_eq!(
+            greedy_cover_until_sharded(&sys, 2, sys.len(), &target),
+            reference,
+            "theta={theta}: sharded seeding diverged"
+        );
         // 2 owners under BySetRange: owner 0 = Alice, owner 1 = Bob.
         let run = DistCover::new(2, DistBackend::InProcess)
             .cover(&sys, sys.len(), &target)
